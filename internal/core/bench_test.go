@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"testing"
@@ -14,6 +13,23 @@ import (
 	"repro/internal/spectest"
 )
 
+// churnScript flips alt1 every `every` frames, from every/2 up to end: an
+// alternator fault/repair cycle, so the kernel logs a signal and a full
+// reconfiguration each period.
+func churnScript(every, end int64) []envmon.Event {
+	var script []envmon.Event
+	val := "failed"
+	for f := every / 2; f < end; f += every {
+		script = append(script, envmon.Event{Frame: f, Factor: "alt1", Value: val})
+		if val == "failed" {
+			val = "ok"
+		} else {
+			val = "failed"
+		}
+	}
+	return script
+}
+
 // buildBenchSystem wires the canonical system for the frame-loop benchmarks.
 // churnEvery > 0 scripts an alternator fault/repair cycle at that period, so
 // reconfigurations — and the telemetry they generate — are part of the
@@ -23,14 +39,7 @@ func buildBenchSystem(tb testing.TB, telemetryCapacity int, churnEvery int64) *S
 	tb.Helper()
 	var script []envmon.Event
 	if churnEvery > 0 {
-		for f, val := churnEvery/2, "failed"; f < 1_000_000; f += churnEvery {
-			script = append(script, envmon.Event{Frame: f, Factor: "alt1", Value: val})
-			if val == "failed" {
-				val = "ok"
-			} else {
-				val = "failed"
-			}
-		}
+		script = churnScript(churnEvery, 1_000_000)
 	}
 	sys, err := NewSystem(Options{
 		Spec: spectest.ThreeConfig(),
@@ -145,6 +154,19 @@ func measurePair(tb testing.TB, n, frames int, churnEvery int64) (on, off armSam
 	return on, off, pcts[len(pcts)/2]
 }
 
+// logBenchJSON reports a benchmark's numbers as the JSON document of the
+// named BENCH_*.json snapshot at the repository root. The test only logs
+// it — `go test` must leave the tree clean — so refreshing a snapshot is a
+// deliberate copy out of `go test -v` output.
+func logBenchJSON(t *testing.T, file string, doc any) {
+	t.Helper()
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%s:\n%s", file, data)
+}
+
 // benchResult is one row of BENCH_observability.json.
 type benchResult struct {
 	Name        string  `json:"name"`
@@ -163,8 +185,8 @@ func row(name string, s armSample) benchResult {
 }
 
 // TestTelemetryOverheadBench measures both benchmark pairs under plain
-// `go test` and records the telemetry overhead in BENCH_observability.json
-// at the repository root. The steady-state pair is the headline number — the
+// `go test` and reports the telemetry overhead as BENCH_observability.json
+// (logged, see logBenchJSON). The steady-state pair is the headline number — the
 // target is < 5% ns/frame there, asserted with CI-jitter headroom at 15%.
 // The churn pair documents the cost while the system is actively
 // reconfiguring (every 20 frames, far denser than any fault campaign): that
@@ -207,13 +229,7 @@ func TestTelemetryOverheadBench(t *testing.T) {
 			fmt.Sprintf("after the change this run measured steady allocs/frame on %.2f / off %.2f and churn ns/frame on %.0f / off %.0f", steadyOn.allocsPerFrame, steadyOff.allocsPerFrame, churnOn.nsPerFrame, churnOff.nsPerFrame),
 		},
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_observability.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	logBenchJSON(t, "BENCH_observability.json", out)
 	t.Logf("steady: on %.0f ns/frame (%.1f allocs) vs off %.0f (%.1f) = %.2f%% median overhead",
 		steadyOn.nsPerFrame, steadyOn.allocsPerFrame,
 		steadyOff.nsPerFrame, steadyOff.allocsPerFrame, steadyPct)
@@ -231,7 +247,7 @@ func TestTelemetryOverheadBench(t *testing.T) {
 // TestFrameAllocBudgetBench is the runtime half of the alloc discipline the
 // allocfree analyzer enforces statically: the steady-state frame loop, full
 // telemetry on, must stay under 10 allocations per frame. The measured
-// numbers land in BENCH_frame.json at the repository root. Allocation
+// numbers are logged as BENCH_frame.json (see logBenchJSON). Allocation
 // counts, unlike wall-clock times, are nearly deterministic — the best of
 // three runs discards only GC-timing noise — so the budget is asserted
 // directly, no jitter headroom needed. Churn-frame numbers are recorded for
@@ -275,13 +291,7 @@ func TestFrameAllocBudgetBench(t *testing.T) {
 			"churn frames allocate by design (plan construction, protocol events, journal staging); their cost is charged to the reconfiguration window's WCET, not the steady state",
 		},
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_frame.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	logBenchJSON(t, "BENCH_frame.json", out)
 	t.Logf("steady: %.0f ns/frame, %.2f allocs/frame (budget < 10)", steady.nsPerFrame, steady.allocsPerFrame)
 	t.Logf("churn20: %.0f ns/frame, %.2f allocs/frame (recorded, not budgeted)", churn.nsPerFrame, churn.allocsPerFrame)
 	if steady.allocsPerFrame >= 10 {

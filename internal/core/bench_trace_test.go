@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"testing"
 
@@ -39,8 +37,8 @@ func buildTraceBenchSystem(tb testing.TB, disableTracing bool) *System {
 }
 
 // TestTraceOverheadBench measures the marginal cost of the causal-trace
-// layer on the steady-state frame loop and records it in BENCH_trace.json
-// at the repository root. The baseline is telemetry=on (the same baseline
+// layer on the steady-state frame loop and reports it as BENCH_trace.json
+// (logged, see logBenchJSON). The baseline is telemetry=on (the same baseline
 // BENCH_observability.json reports), so the number answers the question the
 // span layer raises: what do spans add on top of the journal that was
 // already there? The target is within 5% ns/frame of the telemetry=on
@@ -86,13 +84,7 @@ func TestTraceOverheadBench(t *testing.T) {
 			fmt.Sprintf("this run measured allocs/frame on %.2f / off %.2f", on.allocsPerFrame, off.allocsPerFrame),
 		},
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_trace.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	logBenchJSON(t, "BENCH_trace.json", out)
 	t.Logf("steady: tracing on %.0f ns/frame (%.1f allocs) vs off %.0f (%.1f) = %.2f%% median overhead",
 		on.nsPerFrame, on.allocsPerFrame, off.nsPerFrame, off.allocsPerFrame, medianPct)
 	if medianPct > 15 {

@@ -32,6 +32,9 @@ type scramManager struct {
 	rs      *spec.ReconfigSpec
 	primary *failstop.Processor
 	standby *failstop.Processor // nil when not replicated
+	// retain is the system's history horizon (Options.RetainFrames),
+	// applied to every kernel the manager builds or restores.
+	retain int64
 
 	mu      sync.Mutex
 	pending []envmon.Signal
@@ -65,16 +68,19 @@ type scramManager struct {
 	book *telemetry.SpanBook
 }
 
-// newSCRAMManager builds the manager with a fresh kernel on the primary.
-func newSCRAMManager(rs *spec.ReconfigSpec, primary, standby *failstop.Processor) (*scramManager, error) {
+// newSCRAMManager builds the manager with a fresh kernel on the primary,
+// its protocol log bounded to retain frames (zero keeps everything).
+func newSCRAMManager(rs *spec.ReconfigSpec, primary, standby *failstop.Processor, retain int64) (*scramManager, error) {
 	k, err := scram.NewKernel(rs, primary.Stable())
 	if err != nil {
 		return nil, err
 	}
+	k.SetRetention(retain)
 	return &scramManager{
 		rs:         rs,
 		primary:    primary,
 		standby:    standby,
+		retain:     retain,
 		active:     k,
 		activeProc: primary,
 		telSink:    telemetry.NopSink{},
@@ -224,6 +230,7 @@ func (m *scramManager) takeover(ctx frame.Context) bool {
 			cand.Fail(ctx.Frame)
 			continue
 		}
+		k.SetRetention(m.retain)
 		m.active = k
 		m.activeProc = cand
 		m.tookOver = true

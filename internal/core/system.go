@@ -127,14 +127,19 @@ type Options struct {
 	// a valid (and deterministic) default.
 	TraceSeed int64
 	// RetainFrames bounds the system's history to a sliding window of
-	// frames: the sys_trace drops states and the flight recorder drops
-	// journal events (live and persisted chunks alike) older than the
-	// horizon, so a tenant's memory and stable-store footprint are flat
-	// in frames — the "weeks-long run" mode. Zero (the default) retains
-	// everything. Retention is configuration, not runtime state: property
-	// checks and flightrec cover the retained window, and a replayed or
-	// recovered run must use the same horizon for its journal and trace
-	// to stay byte-identical with the original.
+	// frames: the sys_trace drops states, the flight recorder drops
+	// journal events (live and persisted chunks alike) and shrinks its
+	// ring to the live window, and the SCRAM kernel's protocol log
+	// (Kernel().Events(), on a takeover's restored kernel too) drops
+	// entries older than the horizon, so a tenant's memory and
+	// stable-store footprint are flat in frames under any amount of
+	// reconfiguration churn — the "weeks-long run" mode. Each structure
+	// trims at its own amortized cadence and keeps at most about two
+	// windows. Zero (the default) retains everything. Retention is
+	// configuration, not runtime state: property checks and flightrec
+	// cover the retained window, and a replayed or recovered run must use
+	// the same horizon for its journal and trace to stay byte-identical
+	// with the original.
 	RetainFrames int64
 	// DisableTracing turns the causal trace layer off while leaving the
 	// rest of the telemetry stack on — the ablation arm of the tracing
@@ -372,7 +377,7 @@ func NewSystem(opts Options) (*System, error) {
 			return nil, errors.New("core: SCRAM standby must differ from primary")
 		}
 	}
-	s.manager, err = newSCRAMManager(rs, primary, standby)
+	s.manager, err = newSCRAMManager(rs, primary, standby, opts.RetainFrames)
 	if err != nil {
 		return nil, err
 	}

@@ -58,13 +58,13 @@ type SpawnSpec struct {
 	// exactly like a standalone run's scripted events. Runtime injections
 	// land on top of (and interleave with) the script.
 	Script []envmon.Event `json:"script,omitempty"`
-	// RetainFrames bounds the tenant's journal and trace to a sliding
-	// window of frames (core.Options.RetainFrames): the weeks-long-run
-	// mode, flat memory and stable-store footprint per tenant. Zero
-	// inherits the host's Config.RetainFrames default; negative forces
-	// unbounded retention on a host with a default. The resolved value is
-	// part of the spec (and of the durable manifest): trimming is
-	// deterministic, so replays must trim identically.
+	// RetainFrames bounds the tenant's journal, trace and SCRAM protocol
+	// log to a sliding window of frames (core.Options.RetainFrames): the
+	// weeks-long-run mode, flat memory and stable-store footprint per
+	// tenant. Zero inherits the host's Config.RetainFrames default;
+	// negative forces unbounded retention on a host with a default. The
+	// resolved value is part of the spec (and of the durable manifest):
+	// trimming is deterministic, so replays must trim identically.
 	RetainFrames int64 `json:"retain_frames,omitempty"`
 }
 

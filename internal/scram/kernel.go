@@ -91,6 +91,9 @@ type Kernel struct {
 
 	st     kernelState
 	events []Event
+	// retain is the protocol log's horizon in frames (SetRetention); zero
+	// keeps the whole log.
+	retain int64
 	// dirty marks that st changed since the last persist. The kernel's state
 	// is a pure function of signals and plan progress, both rare; on quiet
 	// frames the committed record is already current and persist skips the
@@ -256,7 +259,16 @@ func (k *Kernel) PlanTarget() (target spec.ConfigID, seq int64, ok bool) {
 	return k.st.Plan.Target, k.st.Plan.Seq, true
 }
 
-// Events returns a copy of the protocol event log.
+// SetRetention bounds the in-memory protocol log to a sliding window of
+// frames, the system's history horizon (core.Options.RetainFrames): once
+// the oldest entry is more than two windows old, the log drops back to the
+// last window. Zero (the default) keeps the whole log. Like the flight
+// recorder's horizon it is configuration, not persisted state, so a kernel
+// restored on takeover must be given it again.
+func (k *Kernel) SetRetention(frames int64) { k.retain = frames }
+
+// Events returns a copy of the protocol event log: the whole log, or under
+// a retention horizon at least the entries of the last window.
 func (k *Kernel) Events() []Event {
 	out := make([]Event, len(k.events))
 	copy(out, k.events)
@@ -276,9 +288,12 @@ func (k *Kernel) Signal(sig envmon.Signal) {
 
 // EndOfFrame advances the kernel by one frame: it drains the frame's
 // signals, starts, advances, retargets, or completes the reconfiguration
-// plan, and writes every application's command for the next frame.
+// plan, and writes every application's command for the next frame. It is
+// also where the protocol log's retention horizon advances, so the log is
+// bounded on quiet frames too.
 func (k *Kernel) EndOfFrame(ctx frame.Context) error {
 	f := ctx.Frame
+	k.trimLog(f)
 	for _, sig := range k.drainSignals() {
 		k.st.Env = sig.State
 		k.st.LastSource = sig.Source
@@ -664,6 +679,23 @@ func (k *Kernel) drainSignals() []envmon.Signal {
 	out := k.signals
 	k.signals = nil
 	return out
+}
+
+// trimLog applies the retention horizon at frame f. Compacting in place
+// once the oldest entry is two windows old, back to one window, amortizes
+// the copy to O(1) per logged event and reuses the log's backing array —
+// the rule the system trace's retention trim follows.
+func (k *Kernel) trimLog(f int64) {
+	if k.retain <= 0 || len(k.events) == 0 || k.events[0].Frame >= f-2*k.retain {
+		return
+	}
+	i := 0
+	for i < len(k.events) && k.events[i].Frame < f-k.retain {
+		i++
+	}
+	n := copy(k.events, k.events[i:])
+	clear(k.events[n:])
+	k.events = k.events[:n]
 }
 
 func (k *Kernel) logf(f int64, kind EventKind, cfg spec.ConfigID, format string, args ...any) {

@@ -659,3 +659,40 @@ func TestRestoreRejectsCorruptCommandRecord(t *testing.T) {
 		t.Fatalf("Restore of intact snapshot: %v", err)
 	}
 }
+
+// TestTrimLogCompactsInPlace pins the protocol log's retention trim: once
+// the oldest entry is two windows old the log drops back to one window, in
+// the same backing array, with the vacated tail zeroed so the dropped
+// entries' detail strings are garbage, and without allocating.
+func TestTrimLogCompactsInPlace(t *testing.T) {
+	full := make([]Event, 100)
+	for f := range full {
+		full[f] = Event{Frame: int64(f), Kind: EventSignal, Detail: fmt.Sprint("entry ", f)}
+	}
+	k := &Kernel{retain: 10, events: make([]Event, 100, 128)}
+	copy(k.events, full)
+	base, capBefore := &k.events[0], cap(k.events)
+	k.trimLog(20) // oldest (frame 0) is exactly two windows old: kept
+	if len(k.events) != 100 {
+		t.Fatalf("trimmed at frame 20: %d entries left, want 100", len(k.events))
+	}
+	refill := func() {
+		k.events = k.events[:100]
+		copy(k.events, full)
+		k.trimLog(100)
+	}
+	if allocs := testing.AllocsPerRun(5, refill); allocs != 0 {
+		t.Fatalf("trimLog allocated %.0f times", allocs)
+	}
+	if len(k.events) != 10 || k.events[0].Frame != 90 || k.events[9].Frame != 99 {
+		t.Fatalf("after trim at frame 100: %v, want frames 90..99", k.events)
+	}
+	if &k.events[0] != base || cap(k.events) != capBefore {
+		t.Fatal("trimLog moved the log to a new backing array")
+	}
+	for i, e := range k.events[len(k.events):capBefore] {
+		if e != (Event{}) {
+			t.Fatalf("vacated slot %d still holds %v", i, e)
+		}
+	}
+}

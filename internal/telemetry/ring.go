@@ -194,12 +194,21 @@ func eventKey(seq int64) string {
 }
 
 // Recorder is the bounded flight-recorder ring. Record appends; when the
-// ring is full the oldest event is evicted (and its stable-storage key
-// deleted at the next Persist). A Recorder is safe for concurrent use
+// ring holds capacity events the oldest is evicted (and its stable-storage
+// key deleted at the next Persist). A Recorder is safe for concurrent use
 // within a frame; persistence happens from the frame-commit path only.
 //
-// The buffer is circular: buf[head] is the oldest surviving event and
-// eviction overwrites in place, so Record stays O(1) once the ring fills.
+// The buffer is circular over its current length, not over capacity:
+// buf[head] is the oldest live event and the live events occupy count
+// consecutive slots modulo len(buf). The backing array tracks the live
+// window rather than the capacity — it doubles when full (up to capacity,
+// where eviction overwrites the oldest slot in place), shrinks to twice
+// the live count when a retention trim leaves it under a quarter full,
+// and every trimmed slot is zeroed so the GC can reclaim the event's maps
+// and strings. A ring under retention therefore costs memory for the
+// events its horizon keeps, not for the capacity it never reaches.
+// Resizing is invisible to the logical ring: sequence numbers, Events and
+// the persisted chunks are the same at any buffer length.
 type Recorder struct {
 	mu       sync.Mutex
 	capacity int
@@ -294,9 +303,13 @@ func (r *Recorder) SetFrame(f int64) {
 			// many frames behind the per-frame persistence anyway.
 			break
 		}
-		r.head = (r.head + 1) % r.capacity
+		*old = Event{}
+		r.head = (r.head + 1) % len(r.buf)
 		r.count--
 		r.trimmed++
+	}
+	if len(r.buf) > minRingSlots && 4*r.count < len(r.buf) {
+		r.resize(max(minRingSlots, 2*r.count))
 	}
 	if r.trimmed > r.trimNoted && f%trimNoteEvery == 0 {
 		//lint:allow allocfree retention note: one map every trimNoteEvery frames, amortized far below the per-frame budget
@@ -349,23 +362,33 @@ func (r *Recorder) recordLocked(e Event) {
 	if e.Frame == 0 {
 		e.Frame = r.frame
 	}
-	if len(r.buf) < r.capacity {
-		// Still growing: plain append, so a quiet system never pays for
-		// the full ring allocation. head + count always equals len(buf)
-		// in this phase (retention trims advance head without wrapping),
-		// so the new event's slot is exactly the append position.
-		r.buf = append(r.buf, e)
-		r.count++
-		return
+	if r.count == len(r.buf) {
+		if len(r.buf) == r.capacity {
+			// Full at capacity: evict the oldest event in place.
+			r.buf[r.head] = e
+			r.head = (r.head + 1) % len(r.buf)
+			r.dropped++
+			return
+		}
+		r.resize(min(max(2*len(r.buf), minRingSlots), r.capacity))
 	}
-	if r.count < r.capacity {
-		r.buf[(r.head+r.count)%r.capacity] = e
-		r.count++
-		return
-	}
-	r.buf[r.head] = e
-	r.head = (r.head + 1) % r.capacity
-	r.dropped++
+	r.buf[(r.head+r.count)%len(r.buf)] = e
+	r.count++
+}
+
+// minRingSlots is the smallest backing array the ring grows from and
+// shrinks back to: below it a resize saves less than it costs.
+const minRingSlots = 16
+
+// resize moves the live events, oldest first, to the front of a fresh
+// n-slot backing array (n >= count).
+func (r *Recorder) resize(n int) {
+	//lint:allow allocfree ring resize: only on doubling toward capacity or after a trim leaves the ring under a quarter full, so the copy amortizes to O(1) per recorded event and a steady retention window never resizes
+	buf := make([]Event, n)
+	k := copy(buf, r.buf[r.head:min(r.head+r.count, len(r.buf))])
+	copy(buf[k:r.count], r.buf[:r.count-k])
+	r.buf = buf
+	r.head = 0
 }
 
 // Len returns the number of events currently in the ring.
@@ -389,7 +412,7 @@ func (r *Recorder) Events() []Event {
 	//lint:allow allocfree snapshot-copy surface: an immutable copy is the point; per-frame only under the opt-in live telemetry plane's publish hook
 	out := make([]Event, r.count)
 	for i := 0; i < r.count; i++ {
-		out[i] = r.buf[(r.head+i)%r.capacity]
+		out[i] = r.buf[(r.head+i)%len(r.buf)]
 	}
 	return out
 }
@@ -449,7 +472,7 @@ func (r *Recorder) Persist(kv KV) error {
 			if buf[len(buf)-1] != '[' {
 				buf = append(buf, ',')
 			}
-			buf = r.enc.appendEventTo(buf, &r.buf[(r.head+int(s-lo))%r.capacity])
+			buf = r.enc.appendEventTo(buf, &r.buf[(r.head+int(s-lo))%len(r.buf)])
 		}
 		buf = append(buf, ']')
 		r.enc.buf = buf
