@@ -23,6 +23,7 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"time"
@@ -301,10 +302,11 @@ func tearRecords(rng *rand.Rand, m stable.Medium, n int) int {
 	torn := 0
 	for i := 0; i < n; i++ {
 		key := keys[rng.Intn(len(keys))]
-		raw, ok := m.Read(key)
-		if !ok || len(raw) == 0 {
+		view, ok := m.Read(key)
+		if !ok || len(view) == 0 {
 			continue
 		}
+		raw := bytes.Clone(view) // Read returns a read-only view
 		if rng.Intn(2) == 0 {
 			raw = raw[:rng.Intn(len(raw))] // truncate: a write cut short
 		} else {

@@ -64,6 +64,9 @@ type FaultyMedium struct {
 	profile FaultProfile
 	torn    bool // device down for the remainder of the frame
 	stats   MediumStats
+	// scratch holds the damaged copy of a stuck read or a bit-rotted
+	// record: faults corrupt a copy, never a view of the stored bytes.
+	scratch []byte
 }
 
 // NewFaultyMedium returns a faulty medium over fresh in-memory storage.
@@ -78,8 +81,9 @@ func NewFaultyMedium(seed int64, profile FaultProfile) *FaultyMedium {
 // Stats returns the injected-fault counts so far.
 func (f *FaultyMedium) Stats() MediumStats { return f.stats }
 
-// Read implements Medium. With probability StuckReadRate the returned copy
-// has a bit forced without damaging the stored record.
+// Read implements Medium. With probability StuckReadRate the read returns
+// a copy with a bit forced, leaving the stored record undamaged; otherwise
+// it returns the stored bytes as they lie.
 func (f *FaultyMedium) Read(key string) ([]byte, bool) {
 	raw, ok := f.inner.Read(key)
 	if !ok {
@@ -87,6 +91,8 @@ func (f *FaultyMedium) Read(key string) ([]byte, bool) {
 	}
 	if f.profile.StuckReadRate > 0 && f.rng.Float64() < f.profile.StuckReadRate {
 		f.stats.StuckReads++
+		f.scratch = append(f.scratch[:0], raw...)
+		raw = f.scratch
 		raw[f.rng.Intn(len(raw))] ^= 1 << uint(f.rng.Intn(8))
 	}
 	return raw, true
@@ -128,12 +134,13 @@ func (f *FaultyMedium) EndFrame() {
 	if !ok || len(raw) == 0 {
 		return
 	}
-	raw[f.rng.Intn(len(raw))] ^= 1 << uint(f.rng.Intn(8))
+	f.scratch = append(f.scratch[:0], raw...)
+	f.scratch[f.rng.Intn(len(raw))] ^= 1 << uint(f.rng.Intn(8))
 	f.stats.BitFlips++
 	// Write through the perfect inner medium: rot damages storage even
 	// while the device rejects commit writes.
 	//lint:allow stableerr fault injection damages the medium on purpose; MemMedium.Write cannot fail
-	_ = f.inner.Write(key, raw)
+	_ = f.inner.Write(key, f.scratch)
 }
 
 // MediaProfile describes how to build a hardened store: the replica count

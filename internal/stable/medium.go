@@ -8,12 +8,16 @@ import "sort"
 // commits. Implementations need not be concurrency-safe — the ReplicatedStore
 // serializes all access.
 type Medium interface {
-	// Read returns the raw bytes stored under key. The returned slice must
-	// be a copy (or otherwise safe for the caller to inspect).
+	// Read returns the raw bytes stored under key as a read-only view,
+	// valid until the next call on this medium. The caller must not modify
+	// it, and must copy whatever it keeps past its next call on the medium.
+	// A medium may return its stored bytes directly, so verifying a record
+	// in place costs no copy.
 	Read(key string) ([]byte, bool)
-	// Write stores raw bytes under key. A non-nil error models a device
-	// write fault: the write did not happen, and the store must assume
-	// nothing about subsequent writes until the frame ends.
+	// Write stores raw bytes under key. It must not retain raw: the caller
+	// may reuse the buffer as soon as Write returns. A non-nil error models
+	// a device write fault: the write did not happen, and the store must
+	// assume nothing about subsequent writes until the frame ends.
 	Write(key string, raw []byte) error
 	// Delete removes key, if present.
 	Delete(key string)
@@ -35,15 +39,12 @@ func NewMemMedium() *MemMedium {
 	return &MemMedium{data: make(map[string][]byte)}
 }
 
-// Read implements Medium.
+// Read implements Medium, returning the stored slice itself. Write always
+// installs a fresh copy rather than overwriting in place, so a view stays
+// intact even after its key is rewritten.
 func (m *MemMedium) Read(key string) ([]byte, bool) {
 	raw, ok := m.data[key]
-	if !ok {
-		return nil, false
-	}
-	cp := make([]byte, len(raw))
-	copy(cp, raw)
-	return cp, true
+	return raw, ok
 }
 
 // Write implements Medium; a perfect medium never fails a write.

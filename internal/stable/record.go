@@ -26,6 +26,18 @@ var ErrCorrupt = errors.New("stable: corrupt record")
 // value would risk silent wrong data.
 var ErrUnrecoverable = errors.New("stable: unrecoverable storage fault")
 
+// The ways a record fails its integrity check. Each wraps ErrCorrupt. They
+// are fixed values so that detecting a damaged replica — a stuck read, a
+// rotted bit — costs no allocation on the read and scrub path.
+var (
+	errShortRecord   = fmt.Errorf("%w: record shorter than its header", ErrCorrupt)
+	errBadMagic      = fmt.Errorf("%w: bad magic", ErrCorrupt)
+	errBadFlags      = fmt.Errorf("%w: unknown flag bits", ErrCorrupt)
+	errBadLength     = fmt.Errorf("%w: payload length does not match the record", ErrCorrupt)
+	errBadChecksum   = fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	errBadCommitSize = fmt.Errorf("%w: commit record payload is not 8 bytes", ErrCorrupt)
+)
+
 // recordMagic marks the start of an encoded record.
 const recordMagic uint32 = 0x57AB1E01
 
@@ -47,49 +59,56 @@ type record struct {
 	payload   []byte
 }
 
-// encodeRecord serializes a record with its integrity header.
-func encodeRecord(r record) []byte {
-	out := make([]byte, recordHeaderLen+len(r.payload))
-	binary.BigEndian.PutUint32(out[0:4], recordMagic)
+// appendRecord appends the record, serialized with its integrity header, to
+// dst and returns the extended slice. Callers that write the bytes to a
+// Medium encode into a reused scratch buffer: Write never retains its
+// argument, so the buffer is free again once the write returns.
+func appendRecord(dst []byte, r record) []byte {
+	var hdr [recordHeaderLen]byte
+	binary.BigEndian.PutUint32(hdr[0:4], recordMagic)
 	if r.tombstone {
-		out[4] = flagTombstone
+		hdr[4] = flagTombstone
 	}
-	binary.BigEndian.PutUint64(out[5:13], r.version)
-	binary.BigEndian.PutUint32(out[13:17], uint32(len(r.payload)))
-	copy(out[recordHeaderLen:], r.payload)
-	crc := crc32.Checksum(out[4:17], crcTable)
+	binary.BigEndian.PutUint64(hdr[5:13], r.version)
+	binary.BigEndian.PutUint32(hdr[13:17], uint32(len(r.payload)))
+	crc := crc32.Checksum(hdr[4:17], crcTable)
 	crc = crc32.Update(crc, crcTable, r.payload)
-	binary.BigEndian.PutUint32(out[17:21], crc)
-	return out
+	binary.BigEndian.PutUint32(hdr[17:21], crc)
+	dst = append(dst, hdr[:]...)
+	return append(dst, r.payload...)
 }
 
 // decodeRecord parses and verifies an encoded record. Any mismatch — bad
-// magic, short buffer, wrong length, checksum failure — returns ErrCorrupt:
-// the detection half of the fail-stop storage construction.
+// magic, unknown flag bits, short buffer, wrong length, checksum failure —
+// returns ErrCorrupt: the detection half of the fail-stop storage
+// construction. The payload aliases raw (capacity clipped, so an append to
+// it cannot scribble past the record): it is valid exactly as long as raw
+// is, and a caller that hands the value out must copy it.
 func decodeRecord(raw []byte) (record, error) {
 	if len(raw) < recordHeaderLen {
-		return record{}, fmt.Errorf("%w: %d bytes, need at least %d", ErrCorrupt, len(raw), recordHeaderLen)
+		return record{}, errShortRecord
 	}
 	if binary.BigEndian.Uint32(raw[0:4]) != recordMagic {
-		return record{}, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, binary.BigEndian.Uint32(raw[0:4]))
+		return record{}, errBadMagic
+	}
+	if raw[4]&^flagTombstone != 0 {
+		return record{}, errBadFlags
 	}
 	plen := binary.BigEndian.Uint32(raw[13:17])
 	if uint64(len(raw)) != uint64(recordHeaderLen)+uint64(plen) {
-		return record{}, fmt.Errorf("%w: payload length %d does not match buffer %d", ErrCorrupt, plen, len(raw))
+		return record{}, errBadLength
 	}
-	want := binary.BigEndian.Uint32(raw[17:21])
 	crc := crc32.Checksum(raw[4:17], crcTable)
 	crc = crc32.Update(crc, crcTable, raw[recordHeaderLen:])
-	if crc != want {
-		return record{}, fmt.Errorf("%w: checksum %#x, want %#x", ErrCorrupt, crc, want)
+	if crc != binary.BigEndian.Uint32(raw[17:21]) {
+		return record{}, errBadChecksum
 	}
 	r := record{
 		version:   binary.BigEndian.Uint64(raw[5:13]),
 		tombstone: raw[4]&flagTombstone != 0,
 	}
 	if plen > 0 {
-		r.payload = make([]byte, plen)
-		copy(r.payload, raw[recordHeaderLen:])
+		r.payload = raw[recordHeaderLen:len(raw):len(raw)]
 	}
 	return r, nil
 }
@@ -99,14 +118,14 @@ func decodeRecord(raw []byte) (record, error) {
 // cannot collide.
 const commitRecordKey = "\x00commit"
 
-// encodeCommitRecord builds the commit record for a version: a record whose
-// payload is the version, written last in every commit batch. A medium whose
-// commit record is behind the store's version did not absorb the latest
-// commit completely (a torn write).
-func encodeCommitRecord(version uint64) []byte {
-	payload := make([]byte, 8)
-	binary.BigEndian.PutUint64(payload, version)
-	return encodeRecord(record{version: version, payload: payload})
+// appendCommitRecord appends the commit record for a version to dst: a
+// record whose payload is the version, written last in every commit batch.
+// A medium whose commit record is behind the store's version did not absorb
+// the latest commit completely (a torn write).
+func appendCommitRecord(dst []byte, version uint64) []byte {
+	var payload [8]byte
+	binary.BigEndian.PutUint64(payload[:], version)
+	return appendRecord(dst, record{version: version, payload: payload[:]})
 }
 
 // decodeCommitRecord returns the version a commit record pins.
@@ -116,7 +135,7 @@ func decodeCommitRecord(raw []byte) (uint64, error) {
 		return 0, err
 	}
 	if len(rec.payload) != 8 {
-		return 0, fmt.Errorf("%w: commit record payload %d bytes", ErrCorrupt, len(rec.payload))
+		return 0, errBadCommitSize
 	}
 	return binary.BigEndian.Uint64(rec.payload), nil
 }

@@ -105,6 +105,20 @@ type ReplicatedStore struct {
 	unionSet map[string]struct{}
 	// keyScratch is the reusable sorted-batch-key buffer for Commit.
 	keyScratch []string
+	// Per-pass scratch, sized to the media at construction and reused
+	// under mu so a clean read or scrub pass allocates nothing: up is
+	// caughtUp's result, cands readCandidates', and flags the per-medium
+	// absorbed (Commit) or unrepaired (Scrub) marks.
+	up    []bool
+	cands []candidate
+	flags []bool
+	// enc holds Commit's batch records, each encoded once for every
+	// medium, ending at the offsets in encEnds; rec holds one record at a
+	// time for a repair or a commit record. Medium.Write never retains its
+	// argument, so both are free again once the writes return.
+	enc     []byte
+	encEnds []int
+	rec     []byte
 }
 
 // replCounters holds the store's pre-resolved metric handles, one per
@@ -159,6 +173,9 @@ func NewReplicatedStore(media ...Medium) *ReplicatedStore {
 		media: media,
 		c:     resolveReplCounters(telemetry.NewRegistry(), "stable/"),
 		tel:   telemetry.NopSink{},
+		up:    make([]bool, len(media)),
+		cands: make([]candidate, len(media)),
+		flags: make([]bool, len(media)),
 	}
 }
 
@@ -237,18 +254,23 @@ func (r *ReplicatedStore) Version() uint64 {
 	return r.version
 }
 
-// candidate is one replica's view of a key during a read.
+// candidate is one replica's view of a key during a read. Its payload
+// aliases the medium's read view, so it is valid only until the next call
+// on that medium.
 type candidate struct {
 	rec     record
 	valid   bool
 	present bool // medium returned bytes (valid or not)
 }
 
-// readCandidates reads key from every medium. A record is valid when it
-// decodes, its checksum holds, and its version is committed (a version ahead
-// of the store is a leftover of a commit that failed everywhere).
+// readCandidates reads key from every medium, verifying each record where
+// it lies. A record is valid when it decodes, its checksum holds, and its
+// version is committed (a version ahead of the store is a leftover of a
+// commit that failed everywhere). The result is the store's reused scratch:
+// it is overwritten by the next call.
 func (r *ReplicatedStore) readCandidates(key string) []candidate {
-	cands := make([]candidate, len(r.media))
+	cands := r.cands
+	clear(cands)
 	for i, m := range r.media {
 		raw, ok := m.Read(key)
 		if !ok {
@@ -271,9 +293,11 @@ func (r *ReplicatedStore) readCandidates(key string) []candidate {
 // before its commit record, so a matching commit record proves the medium
 // absorbed every batch up to the current version — its copy of any key is
 // the key's true newest committed write (unless rot damaged it since).
-// Before the first commit every medium is trivially caught up.
+// Before the first commit every medium is trivially caught up. The result
+// is the store's reused scratch: it is overwritten by the next call.
 func (r *ReplicatedStore) caughtUp() (up []bool, any bool) {
-	up = make([]bool, len(r.media))
+	up = r.up
+	clear(up)
 	if r.version == 0 {
 		for i := range up {
 			up[i] = true
@@ -361,16 +385,21 @@ func selectBest(cands []candidate, up []bool, anyUp bool) (best int, fatal bool)
 }
 
 // repairFrom rewrites every replica that disagrees with the winning record.
-// Write faults during repair are tolerated: the replica stays behind and the
-// next scrub retries. Returns the number of successful repairs; when failed
-// is non-nil, any medium whose repair write faulted is marked in it.
+// The winner is encoded only once some replica needs it. Write faults during
+// repair are tolerated: the replica stays behind and the next scrub retries.
+// Returns the number of successful repairs; when failed is non-nil, any
+// medium whose repair write faulted is marked in it.
 func (r *ReplicatedStore) repairFrom(key string, cands []candidate, best int, failed []bool) int {
 	win := cands[best].rec
-	raw := encodeRecord(win)
+	var raw []byte
 	repaired := 0
 	for i, c := range cands {
 		if i == best || (c.valid && c.rec.version == win.version) {
 			continue
+		}
+		if raw == nil {
+			r.rec = appendRecord(r.rec[:0], win)
+			raw = r.rec
 		}
 		if err := r.media[i].Write(key, raw); err == nil {
 			repaired++
@@ -390,17 +419,23 @@ func (r *ReplicatedStore) repairFrom(key string, cands []candidate, best int, fa
 func (r *ReplicatedStore) Get(key string) ([]byte, bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	val, ok, err := r.get(key)
-	if r.oracle != nil && err == nil {
-		want, wok := r.oracle[key]
-		if ok != wok || !bytes.Equal(val, want) {
-			r.c.silentWrongData.Inc()
-		}
-	}
-	return val, ok, err
+	return r.get(nil, key)
 }
 
-func (r *ReplicatedStore) get(key string) ([]byte, bool, error) {
+// getInto is Get appending the value to buf: the winning payload is copied
+// straight from the replica that holds it. On a miss or a fault buf is
+// returned unchanged.
+func (r *ReplicatedStore) getInto(buf []byte, key string) ([]byte, bool, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.get(buf, key)
+}
+
+// get finds key's trusted committed value, repairs divergent replicas,
+// checks the value against the oracle, and appends it to buf. Every replica
+// is verified where it lies; the one copy made is the value handed out, into
+// a fresh slice of exactly its length when buf is nil. Caller holds r.mu.
+func (r *ReplicatedStore) get(buf []byte, key string) ([]byte, bool, error) {
 	up, anyUp := r.caughtUp()
 	cands, best, fatal := r.bestOf(key, up, anyUp)
 	if fatal {
@@ -409,26 +444,36 @@ func (r *ReplicatedStore) get(key string) ([]byte, bool, error) {
 			Kind:   telemetry.KindStorageUnrecoverable,
 			Detail: fmt.Sprintf("read of %q: no trustworthy copy on %d replicas", key, len(r.media)),
 		})
-		return nil, false, fmt.Errorf("%w: key %q has no trustworthy copy on any of %d replicas", ErrUnrecoverable, key, len(r.media))
+		return buf, false, fmt.Errorf("%w: key %q has no trustworthy copy on any of %d replicas", ErrUnrecoverable, key, len(r.media))
 	}
-	if best < 0 {
-		return nil, false, nil
+	var val []byte
+	ok := false
+	if best >= 0 {
+		if n := r.repairFrom(key, cands, best, nil); n > 0 {
+			r.c.readRepairs.Add(int64(n))
+			r.record(telemetry.Event{
+				Kind:   telemetry.KindStorageRepair,
+				Detail: fmt.Sprintf("read repair of %q", key),
+				Attrs:  map[string]int64{"repaired": int64(n)},
+			})
+		}
+		if win := cands[best].rec; !win.tombstone {
+			val, ok = win.payload, true
+		}
 	}
-	if n := r.repairFrom(key, cands, best, nil); n > 0 {
-		r.c.readRepairs.Add(int64(n))
-		r.record(telemetry.Event{
-			Kind:   telemetry.KindStorageRepair,
-			Detail: fmt.Sprintf("read repair of %q", key),
-			Attrs:  map[string]int64{"repaired": int64(n)},
-		})
+	if r.oracle != nil {
+		want, wok := r.oracle[key]
+		if ok != wok || !bytes.Equal(val, want) {
+			r.c.silentWrongData.Inc()
+		}
 	}
-	win := cands[best].rec
-	if win.tombstone {
-		return nil, false, nil
+	if !ok {
+		return buf, false, nil
 	}
-	out := make([]byte, len(win.payload))
-	copy(out, win.payload)
-	return out, true, nil
+	if buf == nil {
+		buf = make([]byte, 0, len(val))
+	}
+	return append(buf, val...), true, nil
 }
 
 // Commit applies a staged batch as version v to every replica: the batch's
@@ -467,26 +512,39 @@ func (r *ReplicatedStore) Commit(v uint64, batch map[string]stagedVal) error {
 		}
 	}
 
+	// Encode every batch record once; each medium writes the same bytes.
+	enc, ends := r.enc[:0], r.encEnds[:0]
+	for _, k := range keys {
+		sv := batch[k]
+		enc = appendRecord(enc, record{version: v, tombstone: sv.deleted, payload: sv.val})
+		ends = append(ends, len(enc))
+	}
+	r.enc, r.encEnds = enc, ends
+	r.rec = appendCommitRecord(r.rec[:0], v)
+	commitRec := r.rec
+
 	up, anyUp := r.caughtUp()
 	okReplicas := 0
-	absorbed := make([]bool, len(r.media))
+	absorbed := r.flags
+	clear(absorbed)
 	for i, m := range r.media {
 		good := true
-		for _, k := range keys {
-			sv := batch[k]
-			rec := record{version: v, tombstone: sv.deleted, payload: sv.val}
-			if err := m.Write(k, encodeRecord(rec)); err != nil {
+		start := 0
+		for j, k := range keys {
+			end := ends[j]
+			if err := m.Write(k, enc[start:end:end]); err != nil {
 				r.c.tornReplicaCommits.Inc()
 				good = false
 				break
 			}
+			start = end
 		}
 		absorbed[i] = good
 		if !up[i] {
 			continue
 		}
 		if good {
-			if err := m.Write(commitRecordKey, encodeCommitRecord(v)); err != nil {
+			if err := m.Write(commitRecordKey, commitRec); err != nil {
 				r.c.tornReplicaCommits.Inc()
 				good = false
 			}
@@ -499,7 +557,8 @@ func (r *ReplicatedStore) Commit(v uint64, batch map[string]stagedVal) error {
 	if okReplicas == 0 {
 		for i := range r.media {
 			if absorbed[i] && r.rescueCommit(i, batch, up, anyUp) {
-				if r.media[i].Write(commitRecordKey, encodeCommitRecord(v)) == nil {
+				r.rec = appendCommitRecord(r.rec[:0], v)
+				if r.media[i].Write(commitRecordKey, r.rec) == nil {
 					r.c.commitRescues.Inc()
 					r.record(telemetry.Event{
 						Kind:   telemetry.KindStorageRescue,
@@ -558,7 +617,8 @@ func (r *ReplicatedStore) rescueCommit(i int, batch map[string]stagedVal, up []b
 		if c := cands[i]; c.valid && c.rec.version == cands[best].rec.version {
 			continue
 		}
-		if r.media[i].Write(key, encodeRecord(cands[best].rec)) != nil {
+		r.rec = appendRecord(r.rec[:0], cands[best].rec)
+		if r.media[i].Write(key, r.rec) != nil {
 			return false
 		}
 		r.c.scrubRepairs.Inc()
@@ -615,7 +675,8 @@ func (r *ReplicatedStore) Scrub(skip func(key string) bool) (ScrubReport, error)
 	for _, u := range up {
 		allUp = allUp && u
 	}
-	unrepaired := make([]bool, len(r.media))
+	unrepaired := r.flags
+	clear(unrepaired)
 	for _, key := range r.unionKeys() {
 		doomed := skip != nil && skip(key)
 		if doomed && allUp {
@@ -676,7 +737,8 @@ func (r *ReplicatedStore) Scrub(skip func(key string) bool) (ScrubReport, error)
 		if unrepaired[i] {
 			continue
 		}
-		if m.Write(commitRecordKey, encodeCommitRecord(r.version)) == nil {
+		r.rec = appendCommitRecord(r.rec[:0], r.version)
+		if m.Write(commitRecordKey, r.rec) == nil {
 			rep.StaleCommits++
 			r.c.staleCommitRecords.Inc()
 		}
@@ -714,32 +776,7 @@ func (r *ReplicatedStore) Scrub(skip func(key string) bool) (ScrubReport, error)
 // newest valid record wins. It returns ErrUnrecoverable if any key is
 // corrupt on all replicas; the snapshot is then partial.
 func (r *ReplicatedStore) Snapshot() (map[string][]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string][]byte)
-	var lost []string
-	up, anyUp := r.caughtUp()
-	for _, key := range r.unionKeys() {
-		cands, best, fatal := r.bestOf(key, up, anyUp)
-		if fatal {
-			lost = append(lost, key)
-			continue
-		}
-		if best < 0 {
-			continue
-		}
-		if win := cands[best].rec; !win.tombstone {
-			cp := make([]byte, len(win.payload))
-			copy(cp, win.payload)
-			out[key] = cp
-		}
-	}
-	if len(lost) > 0 {
-		r.c.unrecoverable.Add(int64(len(lost)))
-		return out, fmt.Errorf("%w: %d keys corrupt on all replicas in snapshot: %v",
-			ErrUnrecoverable, len(lost), lost)
-	}
-	return out, nil
+	return r.SnapshotPrefix("")
 }
 
 // SnapshotPrefix is Snapshot restricted to keys carrying the given prefix:

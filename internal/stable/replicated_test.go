@@ -13,7 +13,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		{version: 1 << 40, payload: nil},
 		{version: 7, tombstone: true},
 	} {
-		got, err := decodeRecord(encodeRecord(rec))
+		got, err := decodeRecord(appendRecord(nil, rec))
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", rec, err)
 		}
@@ -24,7 +24,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 }
 
 func TestRecordCodecDetectsCorruption(t *testing.T) {
-	raw := encodeRecord(record{version: 3, payload: []byte("payload")})
+	raw := appendRecord(nil, record{version: 3, payload: []byte("payload")})
 	for i := range raw {
 		bad := make([]byte, len(raw))
 		copy(bad, raw)
@@ -39,11 +39,11 @@ func TestRecordCodecDetectsCorruption(t *testing.T) {
 }
 
 func TestCommitRecordRoundTrip(t *testing.T) {
-	v, err := decodeCommitRecord(encodeCommitRecord(42))
+	v, err := decodeCommitRecord(appendCommitRecord(nil, 42))
 	if err != nil || v != 42 {
 		t.Fatalf("commit record round trip = %d, %v", v, err)
 	}
-	raw := encodeCommitRecord(42)
+	raw := appendCommitRecord(nil, 42)
 	raw[recordHeaderLen] ^= 1
 	if _, err := decodeCommitRecord(raw); err == nil {
 		t.Error("corrupt commit record went undetected")
@@ -95,13 +95,15 @@ func TestHardenedMatchesPlain(t *testing.T) {
 	}
 }
 
-// corruptOn flips a bit in key's record on medium m.
+// corruptOn flips a bit in key's record on medium m. Read returns a
+// read-only view, so the damage is done to a copy and written back.
 func corruptOn(t *testing.T, m Medium, key string) {
 	t.Helper()
-	raw, ok := m.Read(key)
+	view, ok := m.Read(key)
 	if !ok {
 		t.Fatalf("key %q absent on medium", key)
 	}
+	raw := bytes.Clone(view)
 	raw[len(raw)-1] ^= 1
 	if err := m.Write(key, raw); err != nil {
 		t.Fatalf("corrupting write: %v", err)
@@ -164,9 +166,12 @@ func TestStaleReplicaCannotMaskNewerData(t *testing.T) {
 	st.Put("k", []byte("old"))
 	st.Commit()
 
-	// Snapshot replica 0 at the old version, then update the key.
+	// Snapshot replica 0 at the old version, then update the key. Read
+	// views are valid only until the next call on the medium: copy them.
 	oldRec, _ := media[0].Read("k")
+	oldRec = bytes.Clone(oldRec)
 	oldCommit, _ := media[0].Read(commitRecordKey)
+	oldCommit = bytes.Clone(oldCommit)
 	st.Put("k", []byte("new"))
 	st.Commit()
 	// Replica 0 "tears back" to its old state: valid record, stale commit.
@@ -423,6 +428,49 @@ func TestConcurrentCommitsSerialize(t *testing.T) {
 	}
 	if v := rep.Version(); v != 100 {
 		t.Fatalf("backend version = %d, want 100", v)
+	}
+}
+
+// TestConcurrentHardenedReadsAndScrub drives Get, GetInto, Put and Delete
+// from several goroutines while another commits and scrubs, over faulty
+// media: the backend's reused read scratch and the scrub's reads of the
+// staged deletions must stay consistent (run under -race), and every value
+// read must be one some writer committed.
+func TestConcurrentHardenedReadsAndScrub(t *testing.T) {
+	st := NewHardenedStore(MediaProfile{Replicas: 3, Seed: 5, Faults: FaultProfile{StuckReadRate: 0.05, BitRotRate: 0.1}, Oracle: true}, "race")
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var buf []byte
+			for i := 0; i < 200; i++ {
+				k := []string{"a", "b", "c"}[i%3]
+				if i%5 == 0 {
+					st.Delete(k)
+				} else {
+					st.Put(k, []byte{'v', byte('0' + g)})
+				}
+				v, ok := st.Get(k)
+				buf, _ = st.GetInto(buf, k)
+				if ok && (len(v) != 2 || v[0] != 'v') {
+					t.Errorf("Get(%s) = %q", k, v)
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 100; i++ {
+			st.Commit()
+			st.Scrub()
+		}
+	}()
+	wg.Wait()
+	<-done
+	if s := st.Hardened().Stats(); s.SilentWrongData != 0 || s.ScrubRuns != 100 {
+		t.Fatalf("stats after concurrent use: %+v", s)
 	}
 }
 

@@ -303,7 +303,9 @@ func (s *Store) putOwned(key string, val []byte) {
 
 // GetInto appends the committed value for key to buf[:0] and returns the
 // extended slice, avoiding Get's per-read allocation when the caller holds a
-// reusable buffer. On a miss the returned slice is buf[:0].
+// reusable buffer. On a hardened store the value is copied straight from the
+// winning replica, with the same verification, repair, oracle check and
+// fault reporting as Get. On a miss the returned slice is buf[:0].
 func (s *Store) GetInto(buf []byte, key string) ([]byte, bool) {
 	buf = buf[:0]
 	s.mu.Lock()
@@ -315,12 +317,13 @@ func (s *Store) GetInto(buf []byte, key string) ([]byte, bool) {
 		s.mu.Unlock()
 		return buf, ok
 	}
+	sink := s.onFault
 	s.mu.Unlock()
-	v, ok := s.Get(key)
-	if !ok {
-		return buf, false
+	buf, ok, err := s.rep.getInto(buf, key)
+	if err != nil {
+		s.fault(sink, err)
 	}
-	return append(buf, v...), true
+	return buf, ok
 }
 
 // Delete stages removal of key, effective at the next Commit.
@@ -415,27 +418,31 @@ func (s *Store) Commit() uint64 {
 
 // Scrub runs the hardened backend's end-of-frame integrity pass, skipping
 // keys with a staged deletion (per Dirty, repairing a record the next commit
-// tombstones is wasted work). It is a no-op on a plain store. Unrecoverable
-// corruption reports through the fault sink and is also returned.
+// tombstones is wasted work). The backend consults the staged deletions
+// directly as it reaches each key. It is a no-op on a plain store.
+// Unrecoverable corruption reports through the fault sink and is also
+// returned.
 func (s *Store) Scrub() (ScrubReport, error) {
 	s.mu.Lock()
 	if s.rep == nil {
 		s.mu.Unlock()
 		return ScrubReport{}, nil
 	}
-	doomed := make(map[string]bool)
-	for k, sv := range s.staged {
-		if sv.deleted {
-			doomed[k] = true
-		}
-	}
 	sink := s.onFault
 	s.mu.Unlock()
-	rep, err := s.rep.Scrub(func(key string) bool { return doomed[key] })
+	rep, err := s.rep.Scrub(s.stagedDeletion)
 	if err != nil {
 		s.fault(sink, err)
 	}
 	return rep, err
+}
+
+// stagedDeletion reports whether key has a staged deletion: the scrub
+// pass's skip predicate. The backend calls it holding its own lock, which
+// is safe because no Store method holds mu while calling into the backend.
+func (s *Store) stagedDeletion(key string) bool {
+	_, deleted := s.Dirty(key)
+	return deleted
 }
 
 // Discard drops all staged writes without committing them. The frame
