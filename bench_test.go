@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/avionics"
 	"repro/internal/core"
@@ -253,60 +252,6 @@ func BenchmarkCanonicalCampaign(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSchedulerAblation compares the goroutine-barrier scheduler
-// against the sequential ablation for CPU-busy tasks — the design choice
-// DESIGN.md calls out (repro hint: "goroutines ease multi-application FTA
-// simulation").
-func BenchmarkSchedulerAblation(b *testing.B) {
-	work := func(n int) frame.Task {
-		return taskFunc{id: fmt.Sprintf("t%d", n), fn: func(frame.Context) error {
-			x := 0.0
-			for i := 0; i < 2000; i++ {
-				x += float64(i) * 1.000001
-			}
-			if x < 0 {
-				return fmt.Errorf("unreachable")
-			}
-			return nil
-		}}
-	}
-	for _, mode := range []string{"concurrent", "sequential"} {
-		for _, tasks := range []int{4, 16} {
-			b.Run(fmt.Sprintf("%s/tasks=%d", mode, tasks), func(b *testing.B) {
-				var opts []frame.Option
-				if mode == "sequential" {
-					opts = append(opts, frame.Sequential())
-				}
-				s, err := frame.NewScheduler(time.Millisecond, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer s.Close()
-				for i := 0; i < tasks; i++ {
-					if err := s.AddTask(work(i)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := s.Step(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// taskFunc adapts a function to frame.Task.
-type taskFunc struct {
-	id string
-	fn func(frame.Context) error
-}
-
-func (t taskFunc) TaskID() string             { return t.id }
-func (t taskFunc) Tick(c frame.Context) error { return t.fn(c) }
 
 // BenchmarkStableCommit measures the frame-atomic commit with a typical
 // per-frame write set.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/spec"
@@ -51,7 +50,6 @@ const (
 // persisted to stable storage every frame, so a processor failure or a
 // migration preserves the commanded objectives.
 type Autopilot struct {
-	mu      sync.Mutex
 	targets Targets
 
 	engaged bool
@@ -78,30 +76,22 @@ func (a *Autopilot) ID() spec.AppID { return AppAutopilot }
 
 // Engaged reports whether the autopilot is currently engaged.
 func (a *Autopilot) Engaged() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.engaged
 }
 
 // Targets returns the current objectives.
 func (a *Autopilot) Targets() Targets {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.targets
 }
 
 // SetTargets updates the objectives (the pilot's mode-control panel). Safe
 // to call between frames.
 func (a *Autopilot) SetTargets(t Targets) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.targets = t
 }
 
 // Step implements core.App: one control cycle.
 func (a *Autopilot) Step(env *core.FrameEnv) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.halted = false
 	a.engaged = true // the autopilot re-engages when normal service resumes
 
@@ -185,8 +175,6 @@ func (a *Autopilot) publish(env *core.FrameEnv, cmd APCommand) error {
 // Halt implements core.App: cease operation (the postcondition of section
 // 7.1). The last committed targets remain in stable storage.
 func (a *Autopilot) Halt(env *core.FrameEnv) (bool, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.halted = true
 	a.engaged = false
 	return true, nil
@@ -196,8 +184,6 @@ func (a *Autopilot) Halt(env *core.FrameEnv) (bool, error) {
 // storage (which migration carries across processors) and reset the
 // controllers for the target specification.
 func (a *Autopilot) Prepare(env *core.FrameEnv, target spec.SpecID) (bool, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var saved Targets
 	if ok, err := env.Store.GetJSON("targets", &saved); err != nil {
 		return false, err
@@ -212,8 +198,6 @@ func (a *Autopilot) Prepare(env *core.FrameEnv, target spec.SpecID) (bool, error
 // Init implements core.App: establish the precondition — the autopilot is
 // disengaged when a new configuration is entered (section 7.1).
 func (a *Autopilot) Init(env *core.FrameEnv, target spec.SpecID) (bool, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.engaged = false
 	a.haveSns = false
 	return true, a.publish(env, APCommand{Engaged: false})
@@ -221,14 +205,10 @@ func (a *Autopilot) Init(env *core.FrameEnv, target spec.SpecID) (bool, error) {
 
 // Postcondition implements core.App.
 func (a *Autopilot) Postcondition() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.halted
 }
 
 // Precondition implements core.App: disengaged on entry.
 func (a *Autopilot) Precondition(spec.SpecID) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return !a.engaged
 }

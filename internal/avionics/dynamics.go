@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/bus"
 	"repro/internal/frame"
@@ -65,7 +64,6 @@ func (s Surfaces) Centered(eps float64) bool {
 type Dynamics struct {
 	ep *bus.Endpoint
 
-	mu       sync.Mutex
 	state    AircraftState
 	surfaces Surfaces
 }
@@ -97,15 +95,11 @@ func NewDynamics(b *bus.Bus, initial AircraftState) (*Dynamics, error) {
 
 // State returns the current aircraft state.
 func (d *Dynamics) State() AircraftState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.state
 }
 
 // LastSurfaces returns the most recently applied surface command.
 func (d *Dynamics) LastSurfaces() Surfaces {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.surfaces
 }
 
@@ -113,8 +107,6 @@ func (d *Dynamics) LastSurfaces() Surfaces {
 // command delivered over the bus, then integrates the equations of motion.
 // Register it as a system commit hook.
 func (d *Dynamics) Hook(ctx frame.Context) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	for _, msg := range d.ep.Receive() {
 		var s Surfaces
 		if err := json.Unmarshal(msg.Payload, &s); err != nil {

@@ -2,7 +2,6 @@ package avionics
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/envmon"
 	"repro/internal/frame"
@@ -64,7 +63,6 @@ func Classifier(f map[envmon.Factor]string) spec.EnvState {
 type Electrical struct {
 	env *envmon.Environment
 
-	mu       sync.Mutex
 	chargePC float64 // battery charge, percent
 }
 
@@ -88,8 +86,6 @@ func NewElectrical(env *envmon.Environment) *Electrical {
 
 // Charge returns the battery charge in percent.
 func (e *Electrical) Charge() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.chargePC
 }
 
@@ -101,7 +97,6 @@ func (e *Electrical) Hook(ctx frame.Context) error {
 	alt2, _ := e.env.Get(FactorAlt2)
 	dt := ctx.Len.Seconds()
 
-	e.mu.Lock()
 	if alt1 != AltOK && alt2 != AltOK {
 		e.chargePC -= batteryDrainPCPerS * dt
 	} else {
@@ -112,7 +107,6 @@ func (e *Electrical) Hook(ctx frame.Context) error {
 	if e.chargePC < batteryLowPC {
 		band = "low"
 	}
-	e.mu.Unlock()
 
 	e.env.Set(FactorBattery, band)
 	return nil

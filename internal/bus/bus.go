@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/telemetry"
 )
@@ -68,10 +67,9 @@ type Slot struct {
 // follows schedule order, making the simulation deterministic.
 type Schedule []Slot
 
-// Bus is a simulated time-triggered bus. Create one with New. A Bus is safe
-// for concurrent use by its endpoints within a frame.
+// Bus is a simulated time-triggered bus. Create one with New. A Bus and its
+// endpoints belong to one system, and so to one goroutine at a time.
 type Bus struct {
-	mu        sync.Mutex
 	schedule  Schedule
 	slotOf    map[EndpointID]Slot
 	endpoints map[EndpointID]*Endpoint
@@ -115,8 +113,7 @@ func New(schedule Schedule) *Bus {
 	return b
 }
 
-// bindMetrics (re)resolves the bus counters in reg. Callers hold b.mu or
-// own the bus exclusively.
+// bindMetrics (re)resolves the bus counters in reg.
 func (b *Bus) bindMetrics(reg *telemetry.Registry) {
 	prevDelivered, prevDropped := int64(0), int64(0)
 	if b.delivered != nil {
@@ -134,14 +131,12 @@ func (b *Bus) bindMetrics(reg *telemetry.Registry) {
 // over counts accumulated so far) and attaches the flight recorder, which
 // subsequently receives one event per injected fault action.
 func (b *Bus) Instrument(reg *telemetry.Registry, rec *telemetry.Recorder) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.bindMetrics(reg)
 	b.tel = telemetry.OrNop(rec)
 }
 
 // topicFault returns the per-topic fault counters, resolving them on first
-// use. Callers hold b.mu.
+// use.
 func (b *Bus) topicFault(topic string) *topicFaultCounters {
 	tc, ok := b.topicFaults[topic]
 	if !ok {
@@ -156,7 +151,6 @@ func (b *Bus) topicFault(topic string) *topicFaultCounters {
 }
 
 // recordFault mirrors one injected fault action into the flight recorder.
-// Callers hold b.mu.
 func (b *Bus) recordFault(action string, msg Message, frameNum int64) {
 	if !b.tel.Enabled() {
 		return
@@ -172,8 +166,6 @@ func (b *Bus) recordFault(action string, msg Message, frameNum int64) {
 
 // Attach creates and registers an endpoint.
 func (b *Bus) Attach(id EndpointID) (*Endpoint, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if _, dup := b.endpoints[id]; dup {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateEndpoint, id)
 	}
@@ -187,8 +179,6 @@ func (b *Bus) Attach(id EndpointID) (*Endpoint, error) {
 // Detach removes an endpoint (for example when its hosting processor is
 // powered off permanently). Pending inbox contents are dropped.
 func (b *Bus) Detach(id EndpointID) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if _, ok := b.endpoints[id]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownEndpoint, id)
 	}
@@ -204,8 +194,6 @@ func (b *Bus) Detach(id EndpointID) error {
 
 // Endpoint returns a previously attached endpoint.
 func (b *Bus) Endpoint(id EndpointID) (*Endpoint, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	ep, ok := b.endpoints[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownEndpoint, id)
@@ -218,8 +206,6 @@ func (b *Bus) Endpoint(id EndpointID) (*Endpoint, error) {
 // plan exists only for experiments beyond the paper's fault model. Passing
 // nil removes the plan.
 func (b *Bus) SetFaultPlan(plan *FaultPlan) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.fault = plan
 }
 
@@ -229,8 +215,6 @@ func (b *Bus) SetFaultPlan(plan *FaultPlan) {
 // Deprecated: SetFaultHook only models message loss. Use SetFaultPlan, which
 // adds seeded drop/duplicate/delay rates with per-topic overrides.
 func (b *Bus) SetFaultHook(hook func(Message) bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if hook == nil {
 		b.fault = nil
 		return
@@ -243,8 +227,6 @@ func (b *Bus) SetFaultHook(hook func(Message) bool) {
 // Stats returns the counts of delivered and dropped messages, read from the
 // telemetry registry backing the bus.
 func (b *Bus) Stats() (delivered, dropped int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.delivered.Value(), b.dropped.Value()
 }
 
@@ -253,8 +235,6 @@ func (b *Bus) Stats() (delivered, dropped int64) {
 // staging order within an endpoint, so results are deterministic. The frame
 // runtime calls DeliverFrame from a frame-end hook.
 func (b *Bus) DeliverFrame(frameNum int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 
 	// Messages delayed at the previous frame boundary go out first, before
 	// this frame's traffic, restamped with the frame that finally carried
@@ -317,7 +297,7 @@ func (b *Bus) DeliverFrame(frameNum int64) {
 	}
 }
 
-// broadcast delivers one message to every subscriber. Callers hold b.mu.
+// broadcast delivers one message to every subscriber.
 func (b *Bus) broadcast(msg Message) {
 	for _, id := range b.order {
 		rcpt := b.endpoints[id]
@@ -333,7 +313,6 @@ type Endpoint struct {
 	id  EndpointID
 	bus *Bus
 
-	mu     sync.Mutex
 	topics map[string]bool
 	staged []Message
 	inbox  []Message
@@ -350,8 +329,6 @@ func (e *Endpoint) Publish(topic string, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSlot, e.id)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if slot.MaxMessages > 0 && len(e.staged) >= slot.MaxMessages {
 		return fmt.Errorf("%w: %q staged %d, slot capacity %d", ErrSlotOverflow, e.id, len(e.staged), slot.MaxMessages)
 	}
@@ -363,44 +340,32 @@ func (e *Endpoint) Publish(topic string, payload []byte) error {
 
 // Subscribe adds a topic subscription. Subscribing twice is a no-op.
 func (e *Endpoint) Subscribe(topic string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.topics[topic] = true
 }
 
 // Unsubscribe removes a topic subscription.
 func (e *Endpoint) Unsubscribe(topic string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	delete(e.topics, topic)
 }
 
 // Receive drains and returns the endpoint's inbox: every message delivered
 // at earlier frame boundaries and not yet read.
 func (e *Endpoint) Receive() []Message {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := e.inbox
 	e.inbox = nil
 	return out
 }
 
 func (e *Endpoint) takeStaged() []Message {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := e.staged
 	e.staged = nil
 	return out
 }
 
 func (e *Endpoint) subscribed(topic string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.topics[topic]
 }
 
 func (e *Endpoint) deliver(msg Message) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.inbox = append(e.inbox, msg)
 }

@@ -2,7 +2,6 @@ package bus
 
 import (
 	"math/rand"
-	"sync"
 )
 
 // FaultRates are per-message fault probabilities applied at delivery time.
@@ -50,7 +49,6 @@ const (
 // experiments beyond the paper's fault model: equal seeds and equal traffic
 // give equal fault sequences, making campaign runs reproducible.
 type FaultPlan struct {
-	mu       sync.Mutex
 	rng      *rand.Rand
 	def      FaultRates
 	perTopic map[string]FaultRates
@@ -68,30 +66,22 @@ func NewFaultPlan(seed int64) *FaultPlan {
 
 // SetDefault installs the rates applied to topics without an explicit entry.
 func (p *FaultPlan) SetDefault(r FaultRates) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.def = r
 }
 
 // SetTopic overrides the rates for one topic.
 func (p *FaultPlan) SetTopic(topic string, r FaultRates) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.perTopic[topic] = r
 }
 
 // Stats returns the injected-fault counts so far.
 func (p *FaultPlan) Stats() FaultStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.stats
 }
 
 // decide draws the fate of one message. A legacy hook, if present, is
 // consulted first and can only drop.
 func (p *FaultPlan) decide(msg Message) faultAction {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.hook != nil && p.hook(msg) {
 		p.stats.Dropped++
 		return actDrop

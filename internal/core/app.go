@@ -9,6 +9,21 @@
 // obligations first (package statics), mirroring the paper's PVS type check
 // of an instantiation against the abstract architecture: a specification
 // whose obligations fail does not produce a runnable system.
+//
+// # One owner per system
+//
+// A System, and everything it owns — scheduler, processors and their stable
+// stores, environment and monitors, SCRAM kernel, bus, telemetry registry,
+// flight recorder and span book, applications — is touched by one goroutine
+// at a time, and none of it takes a lock. The frame is one ordered pass:
+// every task ticks in registration order, then the commit hooks run, all on
+// the goroutine that called Step. That is faithful to the paper's
+// synchronous frame (section 6.1), because no task's effect is observable
+// before the frame-end commit. Concurrency lives one level up, and the owner
+// hands a system from one goroutine to another through its own
+// synchronization: the fleet host's per-tenant lock, a campaign worker that
+// builds and runs the whole system, or a serve commit-hook snapshot that
+// copies state out at the frame boundary.
 package core
 
 import (
@@ -58,8 +73,8 @@ type FrameEnv struct {
 // three reconfiguration methods realize the bounded-time halt / prepare /
 // start responses of section 5.3.
 //
-// Methods are called from the application's own goroutine, one call per
-// frame, never concurrently.
+// Methods are called one call per frame, in the frame's ordered pass over
+// the tasks, never concurrently.
 type App interface {
 	// ID returns the application identifier, matching the declaration in
 	// the reconfiguration specification.

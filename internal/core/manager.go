@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/envmon"
 	"repro/internal/failstop"
@@ -36,7 +35,6 @@ type scramManager struct {
 	// applied to every kernel the manager builds or restores.
 	retain int64
 
-	mu      sync.Mutex
 	pending []envmon.Signal
 
 	active       *scram.Kernel
@@ -62,9 +60,9 @@ type scramManager struct {
 
 	// book is the system's span book (nil with tracing off). The manager
 	// opens the signal-detection span at the frame-commit delivery point —
-	// the single-threaded spot where a monitor's concurrent report becomes
-	// part of the deterministic frame history — and re-attaches the book
-	// to the restored kernel on takeover.
+	// the spot where a monitor's report becomes part of the frame's
+	// commit-ordered history — and re-attaches the book to the restored
+	// kernel on takeover.
 	book *telemetry.SpanBook
 }
 
@@ -103,11 +101,8 @@ func (m *scramManager) setTracing(book *telemetry.SpanBook) {
 	m.active.SetTracing(book)
 }
 
-// Signal enqueues a monitor signal for delivery at the commit step. Safe for
-// concurrent use by monitor tasks.
+// Signal enqueues a monitor signal for delivery at the commit step.
 func (m *scramManager) Signal(sig envmon.Signal) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.pending = append(m.pending, sig)
 }
 
@@ -130,15 +125,13 @@ func (m *scramManager) hook(ctx frame.Context) error {
 			return nil
 		}
 	}
-	m.mu.Lock()
 	sigs := m.pending
 	m.pending = nil
-	m.mu.Unlock()
 	for _, sig := range sigs {
 		if m.book.Enabled() {
 			// The detection span opens here — delivery, not the monitor's
-			// concurrent Tick — so span identities are allocated at a
-			// deterministic point of the frame's commit step.
+			// Tick — so span identities are allocated at one fixed point
+			// of the frame's commit step.
 			attrs := map[string]int64{"observed_frame": sig.Frame}
 			if sig.Urgent {
 				attrs["urgent"] = 1

@@ -32,6 +32,16 @@ func TestValidateAcceptsCanonicalOptions(t *testing.T) {
 	}
 }
 
+// TestValidateAcceptsDeprecatedSequential pins that the ignored Sequential
+// field still validates, so callers that set it keep building systems.
+func TestValidateAcceptsDeprecatedSequential(t *testing.T) {
+	opts := validOptions()
+	opts.Sequential = true
+	if err := opts.Validate(); err != nil {
+		t.Fatalf("Validate with Sequential set: %v", err)
+	}
+}
+
 func TestValidateTypedErrors(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -148,11 +148,13 @@ type Options struct {
 	// Paced runs frames against the wall clock (soft real time) instead
 	// of as fast as possible.
 	Paced bool
-	// Sequential runs frame tasks one after another inside the scheduler's
-	// goroutine instead of on per-task goroutines — the scheduler ablation
-	// mode. Both modes must produce identical traces, reports and
-	// telemetry on the same script (the frame barrier already serializes
-	// observable effects); the parity tests hold them to that.
+	// Sequential is ignored: the frame scheduler has one mode, an ordered
+	// pass over the tasks. Validate accepts it and NewSystem reads nothing
+	// from it.
+	//
+	// Deprecated: the field survives only because the benchmark's
+	// core.step_us.churn.goroutine probe still sets it. A later benchmark
+	// change retires that probe arm, and then this field.
 	Sequential bool
 	// SkipObligations builds the system even if static obligations fail.
 	// It exists so tests can execute deliberately broken specifications
@@ -461,9 +463,6 @@ func NewSystem(opts Options) (*System, error) {
 	var schedOpts []frame.Option
 	if opts.Paced {
 		schedOpts = append(schedOpts, frame.WithPacing())
-	}
-	if opts.Sequential {
-		schedOpts = append(schedOpts, frame.Sequential())
 	}
 	s.sched, err = frame.NewScheduler(rs.FrameLen, schedOpts...)
 	if err != nil {
@@ -1084,6 +1083,5 @@ func (s *System) CheckMembership() []membership.Violation {
 	return membership.CheckLog(s.mem.Log())
 }
 
-// Close releases the scheduler's goroutines. The system cannot run after
-// Close.
+// Close drops the scheduler's tasks. The system cannot run after Close.
 func (s *System) Close() { s.sched.Close() }

@@ -20,7 +20,6 @@ package envmon
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/frame"
 	"repro/internal/spec"
@@ -44,9 +43,8 @@ const (
 )
 
 // Environment is the authoritative current value of every environmental
-// factor. It is safe for concurrent use.
+// factor. It belongs to one system, and so to one goroutine at a time.
 type Environment struct {
-	mu      sync.Mutex
 	factors map[Factor]string
 	// version counts effective changes: Set bumps it only when a factor's
 	// value actually changes. Frame-loop consumers (monitors, processor-health
@@ -68,8 +66,6 @@ func NewEnvironment(initial map[Factor]string) *Environment {
 // Set changes a factor's value. In the model this is the moment a component
 // fails, is repaired, or an external condition shifts.
 func (e *Environment) Set(f Factor, v string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if old, ok := e.factors[f]; !ok || old != v {
 		e.factors[f] = v
 		e.version++
@@ -79,23 +75,17 @@ func (e *Environment) Set(f Factor, v string) {
 // Version returns the change counter: it advances exactly when some factor's
 // value changes. Observers may skip reclassification while it is unchanged.
 func (e *Environment) Version() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.version
 }
 
 // Get returns a factor's current value.
 func (e *Environment) Get(f Factor) (string, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	v, ok := e.factors[f]
 	return v, ok
 }
 
 // Snapshot returns a copy of all factor values.
 func (e *Environment) Snapshot() map[Factor]string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make(map[Factor]string, len(e.factors))
 	for k, v := range e.factors {
 		out[k] = v
@@ -126,8 +116,8 @@ type Signal struct {
 	Urgent bool
 	// Span is the signal-detection span opened for this signal, stamped by
 	// the SCRAM manager at the frame-commit delivery point — not by the
-	// monitor task, which may run concurrently with other tasks and must
-	// not touch the deterministic span counters. Zero when tracing is off.
+	// monitor task, so span numbering follows the commit-hook order rather
+	// than the task order. Zero when tracing is off.
 	Span int64
 }
 
@@ -140,7 +130,6 @@ type Monitor struct {
 	classify Classifier
 	emit     func(Signal)
 
-	mu      sync.Mutex
 	last    spec.EnvState
 	primed  bool
 	signals int64
@@ -166,15 +155,11 @@ func (m *Monitor) TaskID() string { return "monitor:" + string(m.id) }
 // Current returns the monitor's latest classification (the start state
 // before the first Tick).
 func (m *Monitor) Current() spec.EnvState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.last
 }
 
 // SignalCount returns the number of signals emitted.
 func (m *Monitor) SignalCount() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.signals
 }
 
@@ -184,23 +169,16 @@ func (m *Monitor) SignalCount() int64 {
 // classification.
 func (m *Monitor) Tick(ctx frame.Context) error {
 	ver := m.env.Version()
-	m.mu.Lock()
 	if m.primed && ver == m.seenVersion {
-		m.mu.Unlock()
 		return nil
 	}
-	m.mu.Unlock()
 	state := m.classify(m.env.Snapshot())
-	m.mu.Lock()
 	changed := m.primed && state != m.last
 	m.last = state
 	m.primed = true
 	m.seenVersion = ver
 	if changed {
 		m.signals++
-	}
-	m.mu.Unlock()
-	if changed {
 		m.emit(Signal{Source: m.id, State: state, Frame: ctx.Frame})
 	}
 	return nil

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/spec"
 	"repro/internal/stable"
@@ -76,15 +75,12 @@ func (s State) String() string {
 }
 
 // Processor is a simulated fail-stop processor: processing capacity, volatile
-// storage, and frame-atomic stable storage. A Processor is safe for
-// concurrent use.
+// storage, and frame-atomic stable storage. Like the system that owns it, a
+// Processor belongs to one goroutine at a time.
 type Processor struct {
-	id spec.ProcID
-	// stable has its own synchronization and its identity never changes,
-	// so it lives outside the mutex-guarded fields.
+	id     spec.ProcID
 	stable *stable.Store
 
-	mu            sync.Mutex
 	state         State
 	volatile      map[string][]byte
 	capacity      spec.Resources
@@ -95,12 +91,10 @@ type Processor struct {
 }
 
 // SetFailObserver installs a callback invoked once when the processor
-// fail-stops, outside the processor's lock, with the halt frame and the
+// fail-stops, after the halt has taken effect, with the halt frame and the
 // unrecoverable storage fault that caused the halt (nil for an ordinary
 // failure). The telemetry layer uses it to journal processor halts.
 func (p *Processor) SetFailObserver(fn func(frame int64, storageFault error)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.failObserver = fn
 }
 
@@ -124,8 +118,8 @@ func NewProcessor(id spec.ProcID, capacity, lowPower spec.Resources, st *stable.
 		// the processor. Returning wrong (or silently absent) data would
 		// break fail-stop semantics; halting preserves them, because a
 		// halt is exactly the failure behaviour the rest of the system
-		// is built to survive. The store invokes the sink outside its
-		// lock, so the halt path may discard staged writes safely.
+		// is built to survive. The store invokes the sink after its own
+		// bookkeeping, so the halt path may discard staged writes safely.
 		p.stable.SetFaultSink(func(err error) {
 			p.FailStorage(int64(p.stable.Version()), err)
 		})
@@ -142,8 +136,6 @@ func (p *Processor) Stable() *stable.Store { return p.stable }
 
 // State returns the current operational state.
 func (p *Processor) State() State {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.state
 }
 
@@ -158,8 +150,6 @@ func (p *Processor) Alive() bool {
 // state: full capacity when running, the low-power capacity when in
 // low-power mode, and zero when failed or off.
 func (p *Processor) EffectiveCapacity() spec.Resources {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	switch p.state {
 	case StateRunning:
 		return p.capacity
@@ -175,9 +165,7 @@ func (p *Processor) EffectiveCapacity() spec.Resources {
 // staged during the failing frame) is lost, and committed stable storage is
 // preserved. Failing an already-failed processor is a no-op.
 func (p *Processor) Fail(frame int64) {
-	p.mu.Lock()
 	if p.state == StateFailed {
-		p.mu.Unlock()
 		return
 	}
 	p.state = StateFailed
@@ -185,7 +173,6 @@ func (p *Processor) Fail(frame int64) {
 	clear(p.volatile)
 	p.stable.Discard()
 	observer, fault := p.failObserver, p.storageFault
-	p.mu.Unlock()
 	if observer != nil {
 		observer(frame, fault)
 	}
@@ -199,21 +186,16 @@ func (p *Processor) Fail(frame int64) {
 // readable) storage remains pollable: the surviving replicas' data is intact
 // for every key except the unrecoverable ones.
 func (p *Processor) FailStorage(frame int64, err error) {
-	p.mu.Lock()
 	if p.state == StateFailed {
-		p.mu.Unlock()
 		return
 	}
 	p.storageFault = err
-	p.mu.Unlock()
 	p.Fail(frame)
 }
 
 // StorageFault returns the unrecoverable stable-storage fault that halted
 // the processor, or nil if it never suffered one.
 func (p *Processor) StorageFault() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.storageFault
 }
 
@@ -223,8 +205,6 @@ func (p *Processor) StorageFault() error {
 // recorded value is the store's commit version at the halt — which tracks
 // the number of frames the processor spent alive, not the wall-clock frame.
 func (p *Processor) FailedAtFrame() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.failedAtFrame
 }
 
@@ -232,8 +212,6 @@ func (p *Processor) FailedAtFrame() int64 {
 // empty; stable storage retains its last committed contents, which is what a
 // restarted processor recovers from.
 func (p *Processor) Repair() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.state = StateRunning
 	clear(p.volatile)
 }
@@ -241,8 +219,6 @@ func (p *Processor) Repair() {
 // SetLowPower switches between full-capacity and low-power operation. It
 // returns ErrFailed if the processor is not alive.
 func (p *Processor) SetLowPower(low bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.state == StateFailed || p.state == StateOff {
 		return fmt.Errorf("%w: %s", ErrFailed, p.id)
 	}
@@ -258,8 +234,6 @@ func (p *Processor) SetLowPower(low bool) error {
 // (cleared) and the processor stops consuming resources. Stable storage is
 // preserved.
 func (p *Processor) PowerOff() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.state == StateFailed {
 		return
 	}
@@ -270,8 +244,6 @@ func (p *Processor) PowerOff() {
 // PutVolatile stores a value in volatile storage. It returns ErrFailed if
 // the processor cannot execute.
 func (p *Processor) PutVolatile(key string, val []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.state != StateRunning && p.state != StateLowPower {
 		return fmt.Errorf("%w: %s", ErrFailed, p.id)
 	}
@@ -283,8 +255,6 @@ func (p *Processor) PutVolatile(key string, val []byte) error {
 
 // GetVolatile reads a value from volatile storage.
 func (p *Processor) GetVolatile(key string) ([]byte, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	v, ok := p.volatile[key]
 	if !ok {
 		return nil, false
@@ -345,7 +315,6 @@ func (sc *SelfCheckingPair) Run(frame int64, replicaA, replicaB Computation) ([]
 // Pool is the set of processors making up the computing platform, with
 // helpers for static placement and post-failure polling.
 type Pool struct {
-	mu    sync.Mutex
 	procs map[spec.ProcID]*Processor
 	order []spec.ProcID
 	// ordered caches the processors in identifier order. The pool's
@@ -385,8 +354,6 @@ func NewPoolWithStores(platform spec.Platform, mk func(spec.ProcID) *stable.Stor
 
 // Proc returns the processor with the given ID.
 func (pl *Pool) Proc(id spec.ProcID) (*Processor, error) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
 	p, ok := pl.procs[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownProc, id)

@@ -133,50 +133,65 @@ func Run(plan Plan) Outcome {
 		return out
 	}
 
-	// Spawn the fleet and pre-plan the storm's injections.
-	acks := make(map[string][]fleet.AckedInjection)
-	ids := make([]string, 0, plan.Tenants)
-	for i := 0; i < plan.Tenants; i++ {
-		id := fmt.Sprintf("c-%d", i)
-		ss := fleet.SpawnSpec{
-			ID:     id,
+	// Pre-plan the fleet: every tenant's seed, then the panic strikes.
+	// Panics arm as soon as their victim is spawned, before it can make
+	// progress (the sweep steps a tenant from the moment Spawn returns):
+	// the armed frame is in the back half of the budget (the victims do
+	// real work, and usually survive at least one crash, before dying), and
+	// arming that early makes the storm's quarantine set a pure function of
+	// the seed — a panic ack needs no commit barrier, so arming lands.
+	specs := make([]fleet.SpawnSpec, plan.Tenants)
+	for i := range specs {
+		specs[i] = fleet.SpawnSpec{
+			ID:     fmt.Sprintf("c-%d", i),
 			Preset: presets[i%len(presets)],
 			Seed:   rng.Int63(),
 			Frames: plan.Frames,
 		}
+	}
+	type panicStrike struct {
+		n     int // strike number, names the request
+		frame int64
+	}
+	panics := make(map[int][]panicStrike) // by tenant index
+	for i := 0; i < plan.Panics; i++ {
+		frame := plan.Frames/2 + rng.Int63n(plan.Frames/2-1) + 1
+		victim := rng.Intn(plan.Tenants)
+		panics[victim] = append(panics[victim], panicStrike{i, frame})
+	}
+
+	// Spawn the fleet, arming each victim right after its spawn.
+	acks := make(map[string][]fleet.AckedInjection)
+	ids := make([]string, 0, plan.Tenants)
+	for i, ss := range specs {
 		if _, err := host.Spawn(ss); err != nil {
-			out.Errors = append(out.Errors, "spawn "+id+": "+err.Error())
+			out.Errors = append(out.Errors, "spawn "+ss.ID+": "+err.Error())
 			continue
 		}
+		id := ss.ID
 		ids = append(ids, id)
+		for _, p := range panics[i] {
+			inj := fleet.Injection{Kind: "panic", Frame: p.frame, RequestID: fmt.Sprintf("storm-panic-%d", p.n)}
+			applied, err := host.Inject(id, inj)
+			if err != nil {
+				// Legal under extreme scheduling: the victim raced past the
+				// armed frame before the arm landed. Not acked, so not in
+				// the recipe.
+				continue
+			}
+			out.Injected++
+			acks[id] = append(acks[id], fleet.AckedInjection{Inj: inj, Applied: applied})
+			if again, err := host.Inject(id, inj); err != nil || again != applied {
+				out.Mismatches = append(out.Mismatches,
+					fmt.Sprintf("tenant %s: duplicate panic request acked (%d,%v), primary acked %d", id, again, err, applied))
+			} else {
+				out.DedupeHits++
+			}
+		}
 	}
 	type strike struct {
 		id  string
 		inj fleet.Injection
-	}
-	// Panics arm up front, before the fleet makes progress: the armed frame
-	// is in the back half of the budget (the victims do real work, and
-	// usually survive at least one crash, before dying), and arming early
-	// makes the storm's quarantine set a pure function of the seed — a
-	// panic ack needs no commit barrier, so arming always lands.
-	for i := 0; i < plan.Panics && len(ids) > 0; i++ {
-		frame := plan.Frames/2 + rng.Int63n(plan.Frames/2-1) + 1
-		id := ids[rng.Intn(len(ids))]
-		inj := fleet.Injection{Kind: "panic", Frame: frame, RequestID: fmt.Sprintf("storm-panic-%d", i)}
-		applied, err := host.Inject(id, inj)
-		if err != nil {
-			// Legal under extreme scheduling: the victim raced past the armed
-			// frame before the arm landed. Not acked, so not in the recipe.
-			continue
-		}
-		out.Injected++
-		acks[id] = append(acks[id], fleet.AckedInjection{Inj: inj, Applied: applied})
-		if again, err := host.Inject(id, inj); err != nil || again != applied {
-			out.Mismatches = append(out.Mismatches,
-				fmt.Sprintf("tenant %s: duplicate panic request acked (%d,%v), primary acked %d", id, again, err, applied))
-		} else {
-			out.DedupeHits++
-		}
 	}
 	var strikes []strike
 	for i := 0; i < plan.StorageFaults && len(ids) > 0; i++ {

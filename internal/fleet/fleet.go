@@ -5,12 +5,12 @@
 //
 // The host multiplexes tenants over a shared batched scheduler: a fixed pool
 // of shard workers sweeps the running tenants each tick, stepping every
-// tenant a batch of frames. Tenants are spawned in the frame scheduler's
-// sequential mode, so a tenant's entire frame executes inside the shard
-// worker's goroutine — which is what makes the isolation boundary work: a
-// panicking application is caught by the worker's recover, the tenant is
-// quarantined with its black box recoverable from committed stable storage,
-// and the sweep moves on. A fail-stopped or panicked tenant never stalls the
+// tenant a batch of frames. The frame scheduler runs a frame as one ordered
+// pass on its caller's goroutine, so a tenant's entire frame executes inside
+// the shard worker's goroutine — which is what makes the isolation boundary
+// work: a panicking application is caught by the worker's recover, the
+// tenant is quarantined with its black box recoverable from committed stable
+// storage, and the sweep moves on. A fail-stopped or panicked tenant never stalls the
 // scheduler and never touches another tenant's state.
 //
 // Determinism survives multiplexing because tenants share nothing: each
@@ -94,11 +94,6 @@ func SpawnOptions(ss SpawnSpec) (core.Options, error) {
 		Script:         ss.Script,
 		TraceSeed:      ss.Seed,
 		RetainFrames:   ss.retainFrames(),
-		// Sequential mode runs the tenant's whole frame inside the
-		// caller's goroutine: no per-task goroutines (thousands of
-		// tenants would multiply them), and application panics surface
-		// in the shard worker where recover quarantines the tenant.
-		Sequential: true,
 	}, nil
 }
 
@@ -383,11 +378,11 @@ func (t *Tenant) stepBatch(n int) (stepped int64) {
 	t.mu.Lock()
 	// The isolation boundary: a panic anywhere under Step — an application
 	// bug, a hook, the kernel, an armed chaos panic — quarantines this
-	// tenant and returns the shard worker to the sweep. Sequential mode
-	// guarantees the panic surfaces here and not in some unrecoverable
-	// scheduler goroutine. The broadcast wakes injection barriers after
-	// every batch; the LRU registration runs outside the tenant lock so it
-	// can take other tenants' locks to evict.
+	// tenant and returns the shard worker to the sweep. The frame runs on
+	// this goroutine, so the panic surfaces here and not in some
+	// unrecoverable scheduler goroutine. The broadcast wakes injection
+	// barriers after every batch; the LRU registration runs outside the
+	// tenant lock so it can take other tenants' locks to evict.
 	defer func() {
 		if r := recover(); r != nil {
 			t.quarantineLocked(fmt.Sprintf("panic: %v", r))

@@ -98,26 +98,34 @@ func injKey(id string, ord int64) string {
 	return fmt.Sprintf("%s%s%s%016x", manifestPrefix, id, injSuffixPrefix, ord)
 }
 
-// manifest serializes all commits to the fleet's durable store. A nil
-// manifest (host without a Config.Manifest store) turns every method into a
-// no-op, which is the pre-durability in-memory behavior.
+// manifest serializes all commits to the fleet's durable store: the store is
+// single-owner, and mu is how the control plane and the checkpointing sweep
+// share it. A nil manifest (host without a Config.Manifest store) turns
+// every method into a no-op, which is the pre-durability in-memory behavior.
 type manifest struct {
 	mu  sync.Mutex
 	st  *stable.Store
 	err error // first commit/storage fault; latched, fails later mutations
+	// live names the tenants with a journaled spawn and no removal. A kill
+	// can land between the checkpoint sweep reading a tenant and its commit,
+	// or between an injection's barrier and its journaling; records for a
+	// tenant no longer live are not written, so no orphan record outlives
+	// the removal.
+	live map[string]bool
 }
 
 func newManifest(st *stable.Store) *manifest {
 	if st == nil {
 		return nil
 	}
-	m := &manifest{st: st}
+	m := &manifest{st: st, live: make(map[string]bool)}
+	// The store fires its sink from inside the failing call, and every
+	// call on st is made by a manifest method holding mu: the sink already
+	// runs under mu, so taking it again would self-deadlock.
 	st.SetFaultSink(func(err error) {
-		m.mu.Lock()
 		if m.err == nil {
 			m.err = err
 		}
-		m.mu.Unlock()
 	})
 	return m
 }
@@ -141,7 +149,19 @@ func (m *manifest) recordSpawn(seq int64, ss SpawnSpec) error {
 	if err := m.st.PutJSON(spawnKey(ss.ID), spawnRecord{Seq: seq, Spec: ss}); err != nil {
 		return err
 	}
-	return m.commitLocked()
+	if err := m.commitLocked(); err != nil {
+		return err
+	}
+	m.live[ss.ID] = true
+	return nil
+}
+
+// adopt marks a tenant recovered from the store as live. Recover calls it
+// before the host starts, so it needs no lock.
+func (m *manifest) adopt(tenantID string) {
+	if m != nil {
+		m.live[tenantID] = true
+	}
 }
 
 // recordInjection durably journals an acked injection. It runs after the
@@ -156,6 +176,9 @@ func (m *manifest) recordInjection(tenantID string, rec injRecord) error {
 	defer m.mu.Unlock()
 	if m.err != nil {
 		return m.err
+	}
+	if !m.live[tenantID] {
+		return fmt.Errorf("tenant %q was killed", tenantID)
 	}
 	if err := m.st.PutJSON(injKey(tenantID, rec.Ord), rec); err != nil {
 		return err
@@ -175,6 +198,9 @@ func (m *manifest) recordCheckpoints(cks map[string]ckptRecord) error {
 		return m.err
 	}
 	for id, ck := range cks {
+		if !m.live[id] {
+			continue
+		}
 		if err := m.st.PutJSON(ckptKey(id), ck); err != nil {
 			return err
 		}
@@ -193,6 +219,7 @@ func (m *manifest) removeTenant(tenantID string) error {
 	if m.err != nil {
 		return m.err
 	}
+	delete(m.live, tenantID)
 	for _, k := range m.st.Keys(manifestPrefix + tenantID + "/") {
 		m.st.Delete(k)
 	}

@@ -78,6 +78,7 @@ func Recover(cfg Config) (*Host, *Recovery, error) {
 			maxSeq = tm.Seq
 		}
 		t := h.recoverTenant(id, tm)
+		h.man.adopt(id)
 		h.tenants[id] = t
 		h.order = append(h.order, id)
 		rec.Tenants++

@@ -9,21 +9,21 @@
 //   - each application completes one unit of work per frame, and
 //   - results are committed to stable storage at the end of each frame.
 //
-// The Scheduler realizes this with one goroutine per task and a two-phase
-// barrier per frame: a start broadcast, a completion join, then the commit
-// hooks (the frame-end stable-storage commits) in deterministic order. In
-// the paper's words, it is "an overarching function ... to coordinate and
-// control application execution"; in a deployed system, timing analysis and
-// synchronization primitives would take its place.
-//
-// A sequential mode (no per-task goroutines) exists for the scheduler
-// ablation benchmark.
+// The Scheduler realizes this with one ordered pass per frame: every task
+// ticks once in registration order, then the commit hooks (the frame-end
+// stable-storage commits) run in registration order. Nothing a task does is
+// observable before the frame-end commit, so the barrier already serializes
+// every observable effect and one pass is faithful to tasks that start
+// together. In the paper's words, the scheduler is "an overarching function
+// ... to coordinate and control application execution"; in a deployed
+// system, timing analysis and synchronization primitives would take its
+// place. Concurrency lives one level up: many schedulers run side by side
+// in fleet shards and campaign workers, each driven by one goroutine.
 package frame
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -84,7 +84,7 @@ type Report struct {
 	Hooks, HookErrs int
 }
 
-// Observer watches frame execution: BeginFrame before the start broadcast,
+// Observer watches frame execution: BeginFrame before the first task ticks,
 // EndFrame after the commit hooks. The telemetry layer registers one to
 // stamp recorded events with the current frame and count barrier activity.
 type Observer interface {
@@ -103,13 +103,6 @@ func WithPacing() Option {
 	return func(s *Scheduler) { s.pace = true }
 }
 
-// Sequential disables the per-task goroutines: tasks run one after another
-// in registration order within the scheduler's goroutine. Used by the
-// scheduler ablation benchmark.
-func Sequential() Option {
-	return func(s *Scheduler) { s.sequential = true }
-}
-
 // Stats summarizes scheduler execution.
 type Stats struct {
 	// Frames is the number of frames executed.
@@ -122,36 +115,21 @@ type Stats struct {
 }
 
 // Scheduler drives a set of tasks through synchronized frames. Create one
-// with NewScheduler; the zero value is not usable. Methods must be called
-// from a single coordinating goroutine (the tasks themselves run
-// concurrently inside Step).
+// with NewScheduler; the zero value is not usable. A scheduler and its
+// tasks belong to one goroutine at a time: every method, and every Tick,
+// runs on the caller's goroutine.
 type Scheduler struct {
-	frameLen   time.Duration
-	pace       bool
-	sequential bool
+	frameLen time.Duration
+	pace     bool
 
 	frame    int64
 	epoch    time.Time // wall-clock epoch for pacing; set at first Step
-	tasks    []*runner
-	byID     map[string]*runner
+	tasks    []Task
+	byID     map[string]bool
 	hooks    []CommitHook
-	done     chan taskResult
 	stats    Stats
 	observer Observer
 	closed   bool
-	runners  sync.WaitGroup
-}
-
-// runner is the persistent goroutine wrapper around one task.
-type runner struct {
-	task  Task
-	start chan Context
-}
-
-// taskResult is one task's per-frame completion report.
-type taskResult struct {
-	id  string
-	err error
 }
 
 // NewScheduler returns a scheduler with the given frame length, which must
@@ -162,8 +140,7 @@ func NewScheduler(frameLen time.Duration, opts ...Option) (*Scheduler, error) {
 	}
 	s := &Scheduler{
 		frameLen: frameLen,
-		byID:     make(map[string]*runner),
-		done:     make(chan taskResult),
+		byID:     make(map[string]bool),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -181,52 +158,36 @@ func (s *Scheduler) Frame() int64 { return s.frame }
 // Stats returns execution statistics.
 func (s *Scheduler) Stats() Stats { return s.stats }
 
-// AddTask registers a task. In concurrent mode the task's goroutine starts
-// immediately and blocks until the next frame. Tasks may be added between
-// frames but not during Step.
+// AddTask registers a task; it ticks after every task registered before
+// it. Tasks may be added between frames but not during Step.
 func (s *Scheduler) AddTask(t Task) error {
 	if s.closed {
 		return ErrClosed
 	}
 	id := t.TaskID()
-	if _, dup := s.byID[id]; dup {
+	if s.byID[id] {
 		return fmt.Errorf("%w: %q", ErrDuplicateTask, id)
 	}
-	r := &runner{task: t, start: make(chan Context)}
-	s.tasks = append(s.tasks, r)
-	s.byID[id] = r
-	if !s.sequential {
-		s.runners.Add(1)
-		//lint:allow nofreegoroutine audited launch: one runner per task, lockstepped by start/done channels and joined via s.runners
-		go func() {
-			defer s.runners.Done()
-			for ctx := range r.start {
-				s.done <- taskResult{id: id, err: r.task.Tick(ctx)}
-			}
-		}()
-	}
+	s.tasks = append(s.tasks, t)
+	s.byID[id] = true
 	return nil
 }
 
-// RemoveTask unregisters a task and stops its goroutine. Tasks may be
-// removed between frames but not during Step.
+// RemoveTask unregisters a task. Tasks may be removed between frames but
+// not during Step.
 func (s *Scheduler) RemoveTask(id string) error {
 	if s.closed {
 		return ErrClosed
 	}
-	r, ok := s.byID[id]
-	if !ok {
+	if !s.byID[id] {
 		return fmt.Errorf("%w: %q", ErrUnknownTask, id)
 	}
 	delete(s.byID, id)
 	for i, t := range s.tasks {
-		if t == r {
+		if t.TaskID() == id {
 			s.tasks = append(s.tasks[:i], s.tasks[i+1:]...)
 			break
 		}
-	}
-	if !s.sequential {
-		close(r.start)
 	}
 	return nil
 }
@@ -234,8 +195,8 @@ func (s *Scheduler) RemoveTask(id string) error {
 // TaskIDs returns the registered task identifiers in registration order.
 func (s *Scheduler) TaskIDs() []string {
 	ids := make([]string, len(s.tasks))
-	for i, r := range s.tasks {
-		ids[i] = r.task.TaskID()
+	for i, t := range s.tasks {
+		ids[i] = t.TaskID()
 	}
 	return ids
 }
@@ -252,10 +213,10 @@ func (s *Scheduler) SetObserver(o Observer) {
 	s.observer = o
 }
 
-// Step executes one frame: broadcast the frame context to every task, wait
-// for all of them, then run the commit hooks. Task and hook errors are
-// collected and joined; the frame counter advances regardless so that a
-// failed probe does not desynchronize the system.
+// Step executes one frame: tick every task in registration order, then run
+// the commit hooks. Task and hook errors are collected and joined; the frame
+// counter advances regardless so that a failed probe does not desynchronize
+// the system.
 func (s *Scheduler) Step() error {
 	if s.closed {
 		return ErrClosed
@@ -271,25 +232,11 @@ func (s *Scheduler) Step() error {
 	rep := Report{Frame: ctx.Frame, Tasks: len(s.tasks), Hooks: len(s.hooks)}
 
 	var errs []error
-	if s.sequential {
-		for _, r := range s.tasks {
-			if err := r.task.Tick(ctx); err != nil {
-				rep.TaskErrs++
-				//lint:allow allocfree fail-stop halt path: a task error ends the mission, so this frame is outside the steady-state WCET budget
-				errs = append(errs, fmt.Errorf("task %q frame %d: %w", r.task.TaskID(), ctx.Frame, err))
-			}
-		}
-	} else {
-		for _, r := range s.tasks {
-			r.start <- ctx
-		}
-		for range s.tasks {
-			res := <-s.done
-			if res.err != nil {
-				rep.TaskErrs++
-				//lint:allow allocfree fail-stop halt path: a task error ends the mission, so this frame is outside the steady-state WCET budget
-				errs = append(errs, fmt.Errorf("task %q frame %d: %w", res.id, ctx.Frame, res.err))
-			}
+	for _, t := range s.tasks {
+		if err := t.Tick(ctx); err != nil {
+			rep.TaskErrs++
+			//lint:allow allocfree fail-stop halt path: a task error ends the mission, so this frame is outside the steady-state WCET budget
+			errs = append(errs, fmt.Errorf("task %q frame %d: %w", t.TaskID(), ctx.Frame, err))
 		}
 	}
 
@@ -347,19 +294,9 @@ func (s *Scheduler) RunUntil(maxFrames int, stop func() bool) (bool, error) {
 	return false, nil
 }
 
-// Close stops all task goroutines and marks the scheduler unusable. Close
-// is idempotent.
+// Close drops every task and marks the scheduler unusable. Close is
+// idempotent.
 func (s *Scheduler) Close() {
-	if s.closed {
-		return
-	}
 	s.closed = true
-	if !s.sequential {
-		for _, r := range s.tasks {
-			close(r.start)
-		}
-	}
-	s.runners.Wait()
-	s.tasks = nil
-	s.byID = map[string]*runner{}
+	s.tasks, s.byID = nil, nil
 }

@@ -3,8 +3,6 @@ package frame
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -12,7 +10,6 @@ import (
 // countingTask records the frames it has seen.
 type countingTask struct {
 	id     string
-	mu     sync.Mutex
 	frames []int64
 	err    error // returned from every Tick when non-nil
 }
@@ -20,19 +17,11 @@ type countingTask struct {
 func (c *countingTask) TaskID() string { return c.id }
 
 func (c *countingTask) Tick(ctx Context) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.frames = append(c.frames, ctx.Frame)
 	return c.err
 }
 
-func (c *countingTask) seen() []int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]int64, len(c.frames))
-	copy(out, c.frames)
-	return out
-}
+func (c *countingTask) seen() []int64 { return c.frames }
 
 func newScheduler(t *testing.T, opts ...Option) *Scheduler {
 	t.Helper()
@@ -87,15 +76,15 @@ func TestAllTasksSeeEveryFrameInOrder(t *testing.T) {
 func TestBarrierSynchrony(t *testing.T) {
 	// No task may start frame k+1 before every task finished frame k.
 	s := newScheduler(t)
-	var inFrame atomic.Int64
+	var inFrame int
 	const tasks = 8
 	for i := 0; i < tasks; i++ {
 		id := fmt.Sprintf("t%d", i)
 		if err := s.AddTask(taskFunc{id: id, fn: func(ctx Context) error {
-			if n := inFrame.Add(1); n > tasks {
-				return fmt.Errorf("%d concurrent ticks, want <= %d", n, tasks)
+			inFrame++
+			if inFrame > tasks {
+				return fmt.Errorf("%d ticks in frame, want <= %d", inFrame, tasks)
 			}
-			defer inFrame.Add(-1)
 			return nil
 		}}); err != nil {
 			t.Fatal(err)
@@ -104,9 +93,10 @@ func TestBarrierSynchrony(t *testing.T) {
 	barrierChecked := 0
 	s.AddCommitHook(func(ctx Context) error {
 		// At commit time every task must have finished the frame.
-		if n := inFrame.Load(); n != 0 {
-			return fmt.Errorf("commit hook ran with %d tasks still in frame", n)
+		if inFrame != tasks {
+			return fmt.Errorf("commit hook ran after %d of %d ticks", inFrame, tasks)
 		}
+		inFrame = 0
 		barrierChecked++
 		return nil
 	})
@@ -126,6 +116,32 @@ type taskFunc struct {
 
 func (t taskFunc) TaskID() string         { return t.id }
 func (t taskFunc) Tick(ctx Context) error { return t.fn(ctx) }
+
+func TestTasksTickInRegistrationOrder(t *testing.T) {
+	s := newScheduler(t)
+	var order []string
+	add := func(id string) {
+		if err := s.AddTask(taskFunc{id: id, fn: func(Context) error {
+			order = append(order, id)
+			return nil
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"c", "a", "b"} {
+		add(id)
+	}
+	if err := s.RemoveTask("a"); err != nil {
+		t.Fatal(err)
+	}
+	add("a")
+	if err := s.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(order); got != "[c b a]" {
+		t.Errorf("tick order = %s, want [c b a]", got)
+	}
+}
 
 func TestCommitHooksRunInOrder(t *testing.T) {
 	s := newScheduler(t)
@@ -263,33 +279,6 @@ func TestRunUntil(t *testing.T) {
 	}
 	if fired {
 		t.Error("RunUntil fired without condition")
-	}
-}
-
-func TestSequentialModeMatchesConcurrent(t *testing.T) {
-	for _, mode := range []string{"concurrent", "sequential"} {
-		t.Run(mode, func(t *testing.T) {
-			var opts []Option
-			if mode == "sequential" {
-				opts = append(opts, Sequential())
-			}
-			s := newScheduler(t, opts...)
-			tasks := make([]*countingTask, 3)
-			for i := range tasks {
-				tasks[i] = &countingTask{id: fmt.Sprintf("t%d", i)}
-				if err := s.AddTask(tasks[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.Run(5); err != nil {
-				t.Fatal(err)
-			}
-			for _, task := range tasks {
-				if n := len(task.seen()); n != 5 {
-					t.Errorf("%s: task %s ticked %d, want 5", mode, task.id, n)
-				}
-			}
-		})
 	}
 }
 

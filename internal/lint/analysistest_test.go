@@ -124,6 +124,12 @@ func TestNoFreeGoroutineFixture(t *testing.T) {
 func TestNoFreeGoroutineServeFixture(t *testing.T) {
 	runFixture(t, []*Analyzer{NoFreeGoroutine}, "serve")
 }
+
+// TestNoFreeGoroutineSingleOwnerFixture pins the lock rule: a mutex field in
+// a single-owner package is flagged, an audited atomic is allowed.
+func TestNoFreeGoroutineSingleOwnerFixture(t *testing.T) {
+	runFixture(t, []*Analyzer{NoFreeGoroutine}, "singleowner")
+}
 func TestStatusDisciplineFixture(t *testing.T) {
 	runFixture(t, []*Analyzer{StatusDiscipline}, "statusdiscipline")
 }

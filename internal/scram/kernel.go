@@ -3,7 +3,6 @@ package scram
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/envmon"
 	"repro/internal/frame"
@@ -86,7 +85,6 @@ type Kernel struct {
 	rs    *spec.ReconfigSpec
 	store *stable.Store
 
-	mu      sync.Mutex
 	signals []envmon.Signal
 
 	st     kernelState
@@ -277,12 +275,9 @@ func (k *Kernel) Events() []Event {
 
 // Signal delivers a component-failure or environment-change signal to the
 // kernel. Per Figure 1 of the paper, signals travel on a direct path (not
-// through stable storage). Signal is safe to call from monitor tasks running
-// concurrently within a frame; the kernel processes all signals of frame k
+// through stable storage). The kernel processes all signals of frame k
 // during k's commit step.
 func (k *Kernel) Signal(sig envmon.Signal) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	k.signals = append(k.signals, sig)
 }
 
@@ -674,8 +669,6 @@ func (k *Kernel) SpecOf(app spec.AppID) spec.SpecID {
 }
 
 func (k *Kernel) drainSignals() []envmon.Signal {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	out := k.signals
 	k.signals = nil
 	return out

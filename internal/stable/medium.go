@@ -5,8 +5,8 @@ import "sort"
 // Medium is one raw storage device under the hardened store: the unreliable
 // physical component from which dependable stable storage is constructed.
 // A Medium stores opaque record bytes; it knows nothing about checksums or
-// commits. Implementations need not be concurrency-safe — the ReplicatedStore
-// serializes all access.
+// commits. Implementations need not be concurrency-safe: a medium belongs to
+// one ReplicatedStore, and that store to one goroutine at a time.
 type Medium interface {
 	// Read returns the raw bytes stored under key as a read-only view,
 	// valid until the next call on this medium. The caller must not modify

@@ -30,8 +30,6 @@ func MountReplicatedStore(media ...Medium) *ReplicatedStore {
 			v = mv
 		}
 	}
-	r.mu.Lock()
 	r.version = v
-	r.mu.Unlock()
 	return r
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/telemetry"
 )
@@ -87,9 +86,9 @@ type ScrubReport struct {
 // corruption that defeats all replicas surfaces as ErrUnrecoverable — which
 // the owning fail-stop processor converts into a halt.
 //
-// A ReplicatedStore is safe for concurrent use.
+// A ReplicatedStore is not safe for concurrent use: like the Store it backs,
+// it belongs to one goroutine at a time.
 type ReplicatedStore struct {
-	mu      sync.Mutex
 	media   []Medium
 	version uint64
 	oracle  map[string][]byte // nil unless EnableOracle
@@ -106,7 +105,7 @@ type ReplicatedStore struct {
 	// keyScratch is the reusable sorted-batch-key buffer for Commit.
 	keyScratch []string
 	// Per-pass scratch, sized to the media at construction and reused
-	// under mu so a clean read or scrub pass allocates nothing: up is
+	// so a clean read or scrub pass allocates nothing: up is
 	// caughtUp's result, cands readCandidates', and flags the per-medium
 	// absorbed (Commit) or unrepaired (Scrub) marks.
 	up    []bool
@@ -184,8 +183,6 @@ func NewReplicatedStore(media ...Medium) *ReplicatedStore {
 // the flight recorder, which subsequently receives repair, rescue, scrub
 // and unrecoverable-fault events labeled with the host name.
 func (r *ReplicatedStore) Instrument(reg *telemetry.Registry, rec *telemetry.Recorder, name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	old := r.c.view()
 	r.c = resolveReplCounters(reg, "stable/"+name+"/")
 	r.c.commits.Add(old.Commits)
@@ -203,8 +200,7 @@ func (r *ReplicatedStore) Instrument(reg *telemetry.Registry, rec *telemetry.Rec
 }
 
 // record mirrors a storage event into the flight recorder, when attached.
-// Called with r.mu held; the recorder has its own lock and never calls back
-// into the store.
+// The recorder never calls back into the store.
 func (r *ReplicatedStore) record(e telemetry.Event) {
 	if !r.tel.Enabled() {
 		return
@@ -217,8 +213,6 @@ func (r *ReplicatedStore) record(e telemetry.Event) {
 // mirrored into a perfect shadow map and every read compared against it.
 // Enable it before the first commit.
 func (r *ReplicatedStore) EnableOracle() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.oracle == nil {
 		r.oracle = make(map[string][]byte)
 	}
@@ -226,15 +220,11 @@ func (r *ReplicatedStore) EnableOracle() {
 
 // Stats assembles the fault-handling counters into a point-in-time view.
 func (r *ReplicatedStore) Stats() ReplStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.c.view()
 }
 
 // InjectedStats sums the injected-fault counts of every backing FaultyMedium.
 func (r *ReplicatedStore) InjectedStats() MediumStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var out MediumStats
 	for _, m := range r.media {
 		if fm, ok := m.(*FaultyMedium); ok {
@@ -249,8 +239,6 @@ func (r *ReplicatedStore) Replicas() int { return len(r.media) }
 
 // Version returns the last fully committed version.
 func (r *ReplicatedStore) Version() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.version
 }
 
@@ -417,8 +405,6 @@ func (r *ReplicatedStore) repairFrom(key string, cands []candidate, best int, fa
 // Get returns ErrUnrecoverable: the caller must halt, because the committed
 // data cannot be proven current, absent, or reconstructed.
 func (r *ReplicatedStore) Get(key string) ([]byte, bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.get(nil, key)
 }
 
@@ -426,15 +412,13 @@ func (r *ReplicatedStore) Get(key string) ([]byte, bool, error) {
 // straight from the replica that holds it. On a miss or a fault buf is
 // returned unchanged.
 func (r *ReplicatedStore) getInto(buf []byte, key string) ([]byte, bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.get(buf, key)
 }
 
 // get finds key's trusted committed value, repairs divergent replicas,
 // checks the value against the oracle, and appends it to buf. Every replica
 // is verified where it lies; the one copy made is the value handed out, into
-// a fresh slice of exactly its length when buf is nil. Caller holds r.mu.
+// a fresh slice of exactly its length when buf is nil.
 func (r *ReplicatedStore) get(buf []byte, key string) ([]byte, bool, error) {
 	up, anyUp := r.caughtUp()
 	cands, best, fatal := r.bestOf(key, up, anyUp)
@@ -492,8 +476,6 @@ func (r *ReplicatedStore) get(buf []byte, key string) ([]byte, bool, error) {
 // version cannot be trusted on any medium and Commit returns
 // ErrUnrecoverable without advancing the version.
 func (r *ReplicatedStore) Commit(v uint64, batch map[string]stagedVal) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	keys := r.keyScratch[:0]
 	for k := range batch {
 		keys = append(keys, k)
@@ -667,8 +649,6 @@ func (r *ReplicatedStore) unionKeys() []string {
 // non-authoritative, or its unrepaired records would masquerade as the
 // newest committed writes once the commit record declares it caught up.
 func (r *ReplicatedStore) Scrub(skip func(key string) bool) (ScrubReport, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var rep ScrubReport
 	up, anyUp := r.caughtUp()
 	allUp := true
@@ -783,8 +763,6 @@ func (r *ReplicatedStore) Snapshot() (map[string][]byte, error) {
 // only matching keys are read, verified and copied, so snapshotting one
 // region does not pay for the rest of the store.
 func (r *ReplicatedStore) SnapshotPrefix(prefix string) (map[string][]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make(map[string][]byte)
 	var lost []string
 	up, anyUp := r.caughtUp()
@@ -819,8 +797,6 @@ func (r *ReplicatedStore) SnapshotPrefix(prefix string) (map[string][]byte, erro
 // that converge past damage instead of halting: they need to know exactly
 // which records are gone to quarantine only the state those records carried.
 func (r *ReplicatedStore) LostKeys(prefix string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var lost []string
 	up, anyUp := r.caughtUp()
 	for _, key := range r.unionKeys() {
@@ -837,8 +813,6 @@ func (r *ReplicatedStore) LostKeys(prefix string) []string {
 // KeysWithPrefix returns the committed keys having the given prefix, sorted.
 // Keys corrupt on every replica make it return ErrUnrecoverable.
 func (r *ReplicatedStore) KeysWithPrefix(prefix string) ([]string, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var keys []string
 	var lost []string
 	up, anyUp := r.caughtUp()

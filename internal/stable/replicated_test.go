@@ -3,7 +3,6 @@ package stable
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 )
 
@@ -402,75 +401,6 @@ func TestScrubSkippedKeyBlocksStamp(t *testing.T) {
 	}
 	if v, err := decodeCommitRecord(raw); err != nil || v != 1 {
 		t.Fatalf("stale replica stamped past a divergent doomed key: commit record = %d, %v", v, err)
-	}
-}
-
-// TestConcurrentCommitsSerialize drives Commit from several goroutines; the
-// commit-serializing lock must hand each one a distinct version (run under
-// -race to check the backend never sees duplicate version numbers).
-func TestConcurrentCommitsSerialize(t *testing.T) {
-	rep := NewReplicatedStore(NewMemMedium(), NewMemMedium())
-	st := NewHardened(rep)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				st.Put("k", []byte{byte(g), byte(i)})
-				st.Commit()
-			}
-		}(g)
-	}
-	wg.Wait()
-	if v := st.Version(); v != 100 {
-		t.Fatalf("store version = %d, want 100", v)
-	}
-	if v := rep.Version(); v != 100 {
-		t.Fatalf("backend version = %d, want 100", v)
-	}
-}
-
-// TestConcurrentHardenedReadsAndScrub drives Get, GetInto, Put and Delete
-// from several goroutines while another commits and scrubs, over faulty
-// media: the backend's reused read scratch and the scrub's reads of the
-// staged deletions must stay consistent (run under -race), and every value
-// read must be one some writer committed.
-func TestConcurrentHardenedReadsAndScrub(t *testing.T) {
-	st := NewHardenedStore(MediaProfile{Replicas: 3, Seed: 5, Faults: FaultProfile{StuckReadRate: 0.05, BitRotRate: 0.1}, Oracle: true}, "race")
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var buf []byte
-			for i := 0; i < 200; i++ {
-				k := []string{"a", "b", "c"}[i%3]
-				if i%5 == 0 {
-					st.Delete(k)
-				} else {
-					st.Put(k, []byte{'v', byte('0' + g)})
-				}
-				v, ok := st.Get(k)
-				buf, _ = st.GetInto(buf, k)
-				if ok && (len(v) != 2 || v[0] != 'v') {
-					t.Errorf("Get(%s) = %q", k, v)
-				}
-			}
-		}(g)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			st.Commit()
-			st.Scrub()
-		}
-	}()
-	wg.Wait()
-	<-done
-	if s := st.Hardened().Stats(); s.SilentWrongData != 0 || s.ScrubRuns != 100 {
-		t.Fatalf("stats after concurrent use: %+v", s)
 	}
 }
 

@@ -33,22 +33,17 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Store is a frame-atomic, crash-survivable key-value store. The zero value
 // is not usable; call NewStore.
 //
-// A Store is safe for concurrent use: within a frame, multiple applications
-// hosted on the same processor may stage writes and read the committed view
-// concurrently.
+// A Store is not safe for concurrent use. It belongs to the system that
+// owns its processor, and that system belongs to one goroutine at a time;
+// the applications a processor hosts stage and read one after another in
+// the frame's ordered pass. A store shared across goroutines (a fleet's
+// manifest) is serialized by its owner.
 type Store struct {
-	mu sync.Mutex
-	// commitMu serializes Commit end to end: on the hardened path the
-	// backend commit happens outside mu (the fault sink may re-enter the
-	// store), so without it two concurrent Commits would derive the same
-	// next version and race duplicate version numbers into the backend.
-	commitMu  sync.Mutex
 	committed map[string][]byte // plain in-memory backend; nil when hardened
 	// buckets indexes committed keys by their top-level path segment
 	// ("app/", "telemetry/", ...), so prefix scans — notably region
@@ -63,7 +58,7 @@ type Store struct {
 	// allocating a fresh map every frame.
 	spare   map[string]stagedVal
 	version uint64
-	onFault func(error) // invoked (outside the lock) on unrecoverable faults
+	onFault func(error) // invoked on unrecoverable faults
 	// pools holds store-owned value buffers retired by commits, staged
 	// overwrites and discards, bucketed by power-of-two size class so Put
 	// finds a fitting buffer in O(1). Keys rewritten every frame — notably
@@ -136,7 +131,7 @@ func classDown(capacity int) int {
 // takeBuf returns a retired buffer with capacity >= n (length 0), or nil
 // when none fits. It pops from the request's own size class, then one class
 // up — never further, so a small counter write cannot strand a
-// journal-chunk buffer on a tiny committed key. Caller holds mu.
+// journal-chunk buffer on a tiny committed key.
 func (s *Store) takeBuf(n int) []byte {
 	cls := classUp(n)
 	if cls < 0 {
@@ -157,7 +152,6 @@ func (s *Store) takeBuf(n int) []byte {
 // the store allocated and exclusively owns may be recycled: staged values
 // displaced before commit, committed values displaced by an overwrite or
 // deletion, and hardened-commit batches the backend has already copied.
-// Caller holds mu.
 func (s *Store) recycle(b []byte) {
 	cls := classDown(cap(b))
 	if cls < 0 || len(s.pools[cls]) >= stagePoolClassMax {
@@ -167,9 +161,9 @@ func (s *Store) recycle(b []byte) {
 	s.pools[cls] = append(s.pools[cls], b)
 }
 
-// stageLocked installs a staged operation, retiring the buffer of any write
-// it displaces within the frame. Caller holds mu.
-func (s *Store) stageLocked(key string, sv stagedVal) {
+// stage installs a staged operation, retiring the buffer of any write
+// it displaces within the frame.
+func (s *Store) stage(key string, sv stagedVal) {
 	if old, ok := s.staged[key]; ok {
 		s.recycle(old.val)
 	}
@@ -222,27 +216,22 @@ func NewHardened(rep *ReplicatedStore) *Store {
 // Hardened returns the replicated backend, or nil for a plain store. It is
 // how campaign instrumentation reaches the fault-handling counters.
 func (s *Store) Hardened() *ReplicatedStore {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.rep
 }
 
 // SetFaultSink installs the unrecoverable-fault handler. The sink is called
-// outside the store's lock, so it may call back into the store (the
-// fail-stop processor's halt path does: halting discards staged writes).
-// It must not call Commit: a sink fired by a failed commit runs while the
-// commit-serializing lock is held.
+// after the failing operation's own bookkeeping, so it may call back into
+// the store (the fail-stop processor's halt path does: halting discards
+// staged writes). It must not call Commit: a sink fired by a failed commit
+// runs before that commit returns.
 func (s *Store) SetFaultSink(fn func(error)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.onFault = fn
 }
 
-// fault dispatches an unrecoverable fault to the sink. Call without holding
-// the lock.
-func (s *Store) fault(sink func(error), err error) {
-	if err != nil && sink != nil {
-		sink(err)
+// fault dispatches an unrecoverable fault to the sink.
+func (s *Store) fault(err error) {
+	if err != nil && s.onFault != nil {
+		s.onFault(err)
 	}
 }
 
@@ -252,18 +241,14 @@ func (s *Store) fault(sink func(error), err error) {
 // corruption that defeats all replicas reports through the fault sink and
 // reads as absent — never as wrong data.
 func (s *Store) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
 	if s.rep != nil {
-		sink := s.onFault
-		s.mu.Unlock()
 		v, ok, err := s.rep.Get(key)
 		if err != nil {
-			s.fault(sink, err)
+			s.fault(err)
 			return nil, false
 		}
 		return v, ok
 	}
-	defer s.mu.Unlock()
 	v, ok := s.committed[key]
 	if !ok {
 		return nil, false
@@ -278,8 +263,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // earlier commit when one fits, so steady per-frame rewrites recycle their
 // storage instead of allocating.
 func (s *Store) Put(key string, val []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	cp := s.takeBuf(len(val))
 	if cp == nil {
 		cp = make([]byte, len(val), roundCap(len(val)))
@@ -288,7 +271,7 @@ func (s *Store) Put(key string, val []byte) {
 		//lint:allow allocfree pooled reuse: takeBuf returned cap >= len(val), so this append fills the retired buffer and never grows
 		cp = append(cp, val...)
 	}
-	s.stageLocked(key, stagedVal{val: cp})
+	s.stage(key, stagedVal{val: cp})
 }
 
 // putOwned stages a write taking ownership of val: the caller must not
@@ -296,9 +279,7 @@ func (s *Store) Put(key string, val []byte) {
 // PutJSON) stage freshly built buffers through it so each write costs one
 // allocation, not two.
 func (s *Store) putOwned(key string, val []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stageLocked(key, stagedVal{val: val})
+	s.stage(key, stagedVal{val: val})
 }
 
 // GetInto appends the committed value for key to buf[:0] and returns the
@@ -308,29 +289,23 @@ func (s *Store) putOwned(key string, val []byte) {
 // fault reporting as Get. On a miss the returned slice is buf[:0].
 func (s *Store) GetInto(buf []byte, key string) ([]byte, bool) {
 	buf = buf[:0]
-	s.mu.Lock()
 	if s.rep == nil {
 		v, ok := s.committed[key]
 		if ok {
 			buf = append(buf, v...)
 		}
-		s.mu.Unlock()
 		return buf, ok
 	}
-	sink := s.onFault
-	s.mu.Unlock()
 	buf, ok, err := s.rep.getInto(buf, key)
 	if err != nil {
-		s.fault(sink, err)
+		s.fault(err)
 	}
 	return buf, ok
 }
 
 // Delete stages removal of key, effective at the next Commit.
 func (s *Store) Delete(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stageLocked(key, stagedVal{deleted: true})
+	s.stage(key, stagedVal{deleted: true})
 }
 
 // Commit atomically applies all staged writes and returns the new version.
@@ -340,9 +315,6 @@ func (s *Store) Delete(key string) {
 // through the fault sink and does not advance the version — the owning
 // processor is expected to halt.
 func (s *Store) Commit() uint64 {
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	s.mu.Lock()
 	if s.rep != nil {
 		next := s.version + 1
 		batch := s.staged
@@ -351,36 +323,27 @@ func (s *Store) Commit() uint64 {
 		} else {
 			s.staged = make(map[string]stagedVal)
 		}
-		sink := s.onFault
-		s.mu.Unlock()
 		err := s.rep.Commit(next, batch)
 		// The backend copied everything it keeps: retire the batch's
 		// buffers for reuse and park the cleared map for the next frame's
 		// staging (also on failure — the batch is dropped either way).
-		s.mu.Lock()
 		for _, sv := range batch {
 			s.recycle(sv.val)
 		}
-		s.mu.Unlock()
 		clear(batch)
 		if err != nil {
-			s.fault(sink, err)
-			s.mu.Lock()
+			s.fault(err)
 			if s.spare == nil {
 				s.spare = batch
 			}
-			s.mu.Unlock()
 			return s.Version()
 		}
-		s.mu.Lock()
 		s.version = next
 		if s.spare == nil {
 			s.spare = batch
 		}
-		s.mu.Unlock()
 		return next
 	}
-	defer s.mu.Unlock()
 	for k, sv := range s.staged {
 		if sv.deleted {
 			if old, ok := s.committed[k]; ok {
@@ -423,23 +386,18 @@ func (s *Store) Commit() uint64 {
 // Unrecoverable corruption reports through the fault sink and is also
 // returned.
 func (s *Store) Scrub() (ScrubReport, error) {
-	s.mu.Lock()
 	if s.rep == nil {
-		s.mu.Unlock()
 		return ScrubReport{}, nil
 	}
-	sink := s.onFault
-	s.mu.Unlock()
 	rep, err := s.rep.Scrub(s.stagedDeletion)
 	if err != nil {
-		s.fault(sink, err)
+		s.fault(err)
 	}
 	return rep, err
 }
 
 // stagedDeletion reports whether key has a staged deletion: the scrub
-// pass's skip predicate. The backend calls it holding its own lock, which
-// is safe because no Store method holds mu while calling into the backend.
+// pass's skip predicate.
 func (s *Store) stagedDeletion(key string) bool {
 	_, deleted := s.Dirty(key)
 	return deleted
@@ -449,8 +407,6 @@ func (s *Store) stagedDeletion(key string) bool {
 // runtime calls Discard when the hosting processor fails mid-frame: the
 // staged writes were volatile and are lost, while committed state survives.
 func (s *Store) Discard() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, sv := range s.staged {
 		s.recycle(sv.val)
 	}
@@ -459,15 +415,11 @@ func (s *Store) Discard() {
 
 // Version returns the number of commits performed.
 func (s *Store) Version() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.version
 }
 
 // PendingWrites returns the number of staged, uncommitted writes.
 func (s *Store) PendingWrites() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.staged)
 }
 
@@ -476,15 +428,11 @@ func (s *Store) PendingWrites() int {
 // of the paper) and to migrate application state between processors during
 // reconfiguration.
 func (s *Store) Snapshot() map[string][]byte {
-	s.mu.Lock()
 	if s.rep != nil {
-		sink := s.onFault
-		s.mu.Unlock()
 		snap, err := s.rep.Snapshot()
-		s.fault(sink, err)
+		s.fault(err)
 		return snap
 	}
-	defer s.mu.Unlock()
 	out := make(map[string][]byte, len(s.committed))
 	for k, v := range s.committed {
 		cp := make([]byte, len(v))
@@ -499,15 +447,11 @@ func (s *Store) Snapshot() map[string][]byte {
 // scales with the region, not with everything else resident on the store
 // (notably the flight-recorder journal on the SCRAM host).
 func (s *Store) SnapshotPrefix(prefix string) map[string][]byte {
-	s.mu.Lock()
 	if s.rep != nil {
-		sink := s.onFault
-		s.mu.Unlock()
 		snap, err := s.rep.SnapshotPrefix(prefix)
-		s.fault(sink, err)
+		s.fault(err)
 		return snap
 	}
-	defer s.mu.Unlock()
 	var out map[string][]byte
 	copyKey := func(k string) {
 		if !strings.HasPrefix(k, prefix) {
@@ -544,15 +488,11 @@ func (s *Store) Restore(snap map[string][]byte) {
 
 // Keys returns the committed keys having the given prefix, sorted.
 func (s *Store) Keys(prefix string) []string {
-	s.mu.Lock()
 	if s.rep != nil {
-		sink := s.onFault
-		s.mu.Unlock()
 		keys, err := s.rep.KeysWithPrefix(prefix)
-		s.fault(sink, err)
+		s.fault(err)
 		return keys
 	}
-	defer s.mu.Unlock()
 	var keys []string
 	if i := strings.IndexByte(prefix, '/'); i >= 0 {
 		bucket := s.buckets[prefix[:i+1]]
@@ -579,16 +519,12 @@ func (s *Store) Keys(prefix string) []string {
 // absent" from "key deleted this frame", but diagnostics (commit-hook
 // logging, the scrub pass) can via StagedLen and Dirty.
 func (s *Store) StagedLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.staged)
 }
 
 // Dirty reports whether key has a staged, uncommitted operation this frame
 // and whether that operation is a deletion.
 func (s *Store) Dirty(key string) (staged, deleted bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sv, ok := s.staged[key]
 	return ok, ok && sv.deleted
 }
@@ -647,21 +583,17 @@ func parseDecimal(v []byte) (int64, bool) {
 // GetInt64 returns the committed value for key parsed as a decimal integer.
 // It returns an error if the key is absent or malformed.
 func (s *Store) GetInt64(key string) (int64, error) {
-	s.mu.Lock()
 	if s.rep == nil {
 		v, ok := s.committed[key]
 		if !ok {
-			s.mu.Unlock()
 			return 0, fmt.Errorf("stable: key %q not present", key)
 		}
 		n, ok := parseDecimal(v)
-		s.mu.Unlock()
 		if !ok {
 			return 0, fmt.Errorf("stable: key %q: malformed integer %q", key, v)
 		}
 		return n, nil
 	}
-	s.mu.Unlock()
 	v, ok := s.Get(key)
 	if !ok {
 		return 0, fmt.Errorf("stable: key %q not present", key)
@@ -710,13 +642,12 @@ type Region struct {
 	store  *Store
 	prefix string
 
-	// keyMu guards keys, a bounded cache of prefixed key strings. The keys an
+	// keys is a bounded cache of prefixed key strings. The keys an
 	// application touches every frame form a small fixed set; caching the
 	// concatenation removes a per-access string allocation from the frame
 	// loop. Callers with unbounded key spaces (journal sequence keys) fall
 	// back to plain concatenation once the cache is full.
-	keyMu sync.Mutex
-	keys  map[string]string
+	keys map[string]string
 }
 
 // regionKeyCacheMax bounds the per-region key cache.
@@ -724,7 +655,6 @@ const regionKeyCacheMax = 64
 
 // key returns prefix+k, cached for the small per-frame working set.
 func (r *Region) key(k string) string {
-	r.keyMu.Lock()
 	full, ok := r.keys[k]
 	if !ok {
 		full = r.prefix + k
@@ -735,7 +665,6 @@ func (r *Region) key(k string) string {
 			r.keys[k] = full
 		}
 	}
-	r.keyMu.Unlock()
 	return full
 }
 

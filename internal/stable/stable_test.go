@@ -2,9 +2,7 @@ package stable
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -247,32 +245,6 @@ func TestRegionSnapshotRestore(t *testing.T) {
 	s.Commit()
 	if _, ok := r.GetString("alt"); ok {
 		t.Error("region delete did not take effect")
-	}
-}
-
-func TestConcurrentStagedWrites(t *testing.T) {
-	s := NewStore()
-	const workers = 8
-	const writes = 100
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := s.Region(fmt.Sprintf("w%d", w))
-			for i := 0; i < writes; i++ {
-				r.PutInt64(fmt.Sprintf("k%d", i), int64(i))
-				s.Get("anything") // concurrent reads must not race
-			}
-		}(w)
-	}
-	wg.Wait()
-	s.Commit()
-	for w := 0; w < workers; w++ {
-		r := s.Region(fmt.Sprintf("w%d", w))
-		if keys := r.Keys(); len(keys) != writes {
-			t.Fatalf("worker %d: %d keys, want %d", w, len(keys), writes)
-		}
 	}
 }
 

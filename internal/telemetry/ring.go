@@ -7,7 +7,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Kind classifies a flight-recorder event.
@@ -195,8 +194,9 @@ func eventKey(seq int64) string {
 
 // Recorder is the bounded flight-recorder ring. Record appends; when the
 // ring holds capacity events the oldest is evicted (and its stable-storage
-// key deleted at the next Persist). A Recorder is safe for concurrent use
-// within a frame; persistence happens from the frame-commit path only.
+// key deleted at the next Persist). A Recorder belongs to one system, and
+// so to one goroutine at a time; persistence happens from the frame-commit
+// path only.
 //
 // The buffer is circular over its current length, not over capacity:
 // buf[head] is the oldest live event and the live events occupy count
@@ -210,7 +210,6 @@ func eventKey(seq int64) string {
 // Resizing is invisible to the logical ring: sequence numbers, Events and
 // the persisted chunks are the same at any buffer length.
 type Recorder struct {
-	mu       sync.Mutex
 	capacity int
 	buf      []Event
 	head     int   // index of the oldest event
@@ -231,8 +230,8 @@ type Recorder struct {
 	// recovery, and it keeps the store traffic at one record per
 	// event-carrying frame instead of one per event.
 	chunks []chunkRef
-	// enc is the reused event encoder of the persistence path; guarded by
-	// mu. Its buffer doubles as the open chunk's retained encoding (below).
+	// enc is the reused event encoder of the persistence path. Its buffer
+	// doubles as the open chunk's retained encoding (below).
 	enc eventEncoder
 	// openKey/openStart identify the open chunk: the most recent chunk,
 	// still accepting appends. Each Persist splices the frame's new events
@@ -285,8 +284,6 @@ func NewRecorder(capacity int) *Recorder {
 // run trims at exactly the frames the original did and the retained
 // journal stays byte-identical.
 func (r *Recorder) SetFrame(f int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.frame = f
 	if r.retain <= 0 || f <= r.retain {
 		return
@@ -313,7 +310,7 @@ func (r *Recorder) SetFrame(f int64) {
 	}
 	if r.trimmed > r.trimNoted && f%trimNoteEvery == 0 {
 		//lint:allow allocfree retention note: one map every trimNoteEvery frames, amortized far below the per-frame budget
-		r.recordLocked(Event{Frame: f, Kind: KindTrim, Attrs: map[string]int64{
+		r.Record(Event{Frame: f, Kind: KindTrim, Attrs: map[string]int64{
 			"trimmed": r.trimmed,
 			"horizon": horizon,
 		}})
@@ -326,22 +323,16 @@ func (r *Recorder) SetFrame(f int64) {
 // a recovered or replayed system must run with the same retention as the
 // original for the journals to match.
 func (r *Recorder) SetRetention(frames int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.retain = frames
 }
 
 // Trimmed returns the number of events evicted by the retention horizon.
 func (r *Recorder) Trimmed() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.trimmed
 }
 
 // FrameNum returns the current frame number.
 func (r *Recorder) FrameNum() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.frame
 }
 
@@ -349,14 +340,6 @@ func (r *Recorder) FrameNum() int64 {
 // stamped with the recorder's current frame; an explicit non-zero Frame is
 // kept.
 func (r *Recorder) Record(e Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.recordLocked(e)
-}
-
-// recordLocked is Record under the caller's lock; SetFrame uses it to emit
-// retention notes from inside the trim path.
-func (r *Recorder) recordLocked(e Event) {
 	e.Seq = r.seq
 	r.seq++
 	if e.Frame == 0 {
@@ -393,22 +376,16 @@ func (r *Recorder) resize(n int) {
 
 // Len returns the number of events currently in the ring.
 func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.count
 }
 
 // Dropped returns the number of events evicted so far.
 func (r *Recorder) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.dropped
 }
 
 // Events returns a copy of the ring contents in sequence order.
 func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	//lint:allow allocfree snapshot-copy surface: an immutable copy is the point; per-frame only under the opt-in live telemetry plane's publish hook
 	out := make([]Event, r.count)
 	for i := 0; i < r.count; i++ {
@@ -426,8 +403,6 @@ func (r *Recorder) Events() []Event {
 // frame — the black box trails the live ring by at most one frame, exactly
 // the staged writes the halt destroys.
 func (r *Recorder) Persist(kv KV) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	lo := r.seq - int64(r.count)
 	if lo == r.persistLo && r.seq == r.persistHi && r.persistHi > 0 {
 		// Nothing recorded or evicted since the last Persist: the staged
@@ -488,8 +463,6 @@ func (r *Recorder) Persist(kv KV) error {
 // SCRAM calls it: the standby's stable store holds none of the primary's
 // journal, and the rewrite seeds it with the full surviving ring.
 func (r *Recorder) ResetPersistence() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.persistLo = 0
 	r.persistHi = 0
 	r.chunks = r.chunks[:0]

@@ -1,7 +1,5 @@
 package telemetry
 
-import "sync"
-
 // Span attribute keys. Span identity rides in the ordinary Event attribute
 // map, so span events need no new Event fields, no encoder changes, and —
 // because they are plain ring events — they inherit the black box's
@@ -64,11 +62,9 @@ const maxChainDepth = 8
 //
 // All methods are nil-receiver safe no-ops, so instrumented subsystems
 // carry a possibly-nil *SpanBook without per-call checks. Methods must be
-// called from frame-commit hooks (single-threaded); the mutex exists for
-// the Enabled check from concurrent readers, not to make span opening from
-// racing task goroutines deterministic — it cannot.
+// called from frame-commit hooks, so span numbering follows the fixed hook
+// order.
 type SpanBook struct {
-	mu   sync.Mutex
 	sink Sink
 	seed int64
 
@@ -119,7 +115,7 @@ func traceIDFor(seed, sigFrame, ordinal int64) int64 {
 	return id
 }
 
-// nextSpan allocates the next span ID. Caller holds b.mu.
+// nextSpan allocates the next span ID.
 func (b *SpanBook) nextSpan() int64 {
 	b.lastSpan++
 	return b.lastSpan
@@ -134,9 +130,7 @@ func (b *SpanBook) OpenPending(f int64, name string, e Event) int64 {
 	if !b.Enabled() {
 		return 0
 	}
-	b.mu.Lock()
 	id := b.nextSpan()
-	b.mu.Unlock()
 	e.Frame = f
 	e.Kind = KindSpanStart
 	e.Phase = name
@@ -153,9 +147,7 @@ func (b *SpanBook) ClosePending(f int64, id int64, e Event) {
 	if id == 0 || !b.Enabled() {
 		return
 	}
-	b.mu.Lock()
-	trace, parent := b.trace, b.parentLocked()
-	b.mu.Unlock()
+	trace, parent := b.trace, b.currentParent()
 	e.Frame = f
 	e.Kind = KindSpanEnd
 	e.Attrs = withSpanAttrs(e.Attrs, trace, id, parent)
@@ -170,17 +162,13 @@ func (b *SpanBook) OpenTrace(f, sigFrame int64, e Event) (trace, root int64) {
 	if !b.Enabled() {
 		return 0, 0
 	}
-	b.mu.Lock()
 	if b.trace != 0 {
-		b.mu.Unlock()
 		b.CloseTrace(f, Event{Detail: "superseded"})
-		b.mu.Lock()
 	}
 	b.traces++
 	b.trace = traceIDFor(b.seed, sigFrame, b.traces)
 	b.root = b.nextSpan()
 	trace, root = b.trace, b.root
-	b.mu.Unlock()
 	e.Frame = f
 	e.Kind = KindSpanStart
 	e.Phase = SpanReconfig
@@ -196,12 +184,10 @@ func (b *SpanBook) CloseTrace(f int64, e Event) {
 	if !b.Enabled() {
 		return
 	}
-	b.mu.Lock()
 	trace, root := b.trace, b.root
 	depth := b.chainDepth
 	chains := b.chain
 	b.trace, b.root, b.chainDepth = 0, 0, 0
-	b.mu.Unlock()
 	if trace == 0 {
 		return
 	}
@@ -228,17 +214,14 @@ func (b *SpanBook) OpenChain(f int64, e Event) int64 {
 	if !b.Enabled() {
 		return 0
 	}
-	b.mu.Lock()
 	if b.trace == 0 || b.chainDepth == maxChainDepth {
-		b.mu.Unlock()
 		return 0
 	}
-	parent := b.parentLocked()
+	parent := b.currentParent()
 	id := b.nextSpan()
 	b.chain[b.chainDepth] = id
 	b.chainDepth++
 	trace := b.trace
-	b.mu.Unlock()
 	e.Frame = f
 	e.Kind = KindSpanStart
 	e.Phase = SpanChain
@@ -253,10 +236,8 @@ func (b *SpanBook) OpenSpan(f int64, name string, e Event) int64 {
 	if !b.Enabled() {
 		return 0
 	}
-	b.mu.Lock()
-	trace, parent := b.trace, b.parentLocked()
+	trace, parent := b.trace, b.currentParent()
 	id := b.nextSpan()
-	b.mu.Unlock()
 	e.Frame = f
 	e.Kind = KindSpanStart
 	e.Phase = name
@@ -270,9 +251,7 @@ func (b *SpanBook) CloseSpan(f int64, id int64, name string, e Event) {
 	if id == 0 || !b.Enabled() {
 		return
 	}
-	b.mu.Lock()
 	trace := b.trace
-	b.mu.Unlock()
 	e.Frame = f
 	e.Kind = KindSpanEnd
 	e.Phase = name
@@ -288,14 +267,12 @@ func (b *SpanBook) Mark(f int64, name string, e Event) {
 	if !b.Enabled() {
 		return
 	}
-	b.mu.Lock()
-	trace, parent := b.trace, b.parentLocked()
+	trace, parent := b.trace, b.currentParent()
 	if trace == 0 {
 		b.traces++
 		trace = traceIDFor(b.seed, f, b.traces)
 	}
 	id := b.nextSpan()
-	b.mu.Unlock()
 	e.Frame = f
 	e.Kind = KindSpanStart
 	e.Phase = name
@@ -304,9 +281,9 @@ func (b *SpanBook) Mark(f int64, name string, e Event) {
 	b.sink.Record(e)
 }
 
-// parentLocked returns the current parent span for new children: the
+// currentParent returns the current parent span for new children: the
 // innermost open chain span, else the trace root, else 0.
-func (b *SpanBook) parentLocked() int64 {
+func (b *SpanBook) currentParent() int64 {
 	if b.chainDepth > 0 {
 		return b.chain[b.chainDepth-1]
 	}

@@ -23,8 +23,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/det"
@@ -43,31 +41,31 @@ type KV interface {
 
 // Counter is a monotonically increasing metric.
 type Counter struct {
-	v atomic.Int64
+	v int64
 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) { c.v += n }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.v++ }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 { return c.v }
 
 // Gauge is a metric that may move in either direction.
 type Gauge struct {
-	v atomic.Int64
+	v int64
 }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
+func (g *Gauge) Set(n int64) { g.v = n }
 
 // Add adjusts the gauge by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
+func (g *Gauge) Add(n int64) { g.v += n }
 
 // Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+func (g *Gauge) Value() int64 { return g.v }
 
 // DefaultFrameBuckets is the default histogram bucketing: frame counts, with
 // Fibonacci-spaced upper bounds. Reconfiguration windows, phase lengths and
@@ -79,7 +77,6 @@ var DefaultFrameBuckets = []int64{1, 2, 3, 5, 8, 13, 21, 34, 55}
 // counts and each bucket counts observations less than or equal to its upper
 // bound, with a final implicit +Inf bucket.
 type Histogram struct {
-	mu     sync.Mutex
 	bounds []int64
 	counts []int64 // len(bounds)+1; last is +Inf
 	count  int64
@@ -89,8 +86,6 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
@@ -171,8 +166,6 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 
 // Snapshot freezes the histogram's current state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	s := HistogramSnapshot{
 		//lint:allow allocfree snapshot-copy surface: the frozen copy is the point; per-frame only under the opt-in live telemetry plane's publish hook
 		Bounds: append([]int64(nil), h.bounds...),
@@ -187,10 +180,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 
 // Registry holds the system's metrics, keyed by stable slash-separated names
 // ("scram/triggers", "stable/p1/read_repairs"). Metric handles are resolved
-// once and then updated lock-free on the hot path; all iteration is in
-// sorted name order so exports are deterministic.
+// once and then updated in place on the hot path; all iteration is in
+// sorted name order so exports are deterministic. A registry and its
+// metrics belong to one system, and so to one goroutine at a time.
 type Registry struct {
-	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -198,7 +191,7 @@ type Registry struct {
 	// static once a system has warmed up, while Snapshot runs on every
 	// metrics-persist cadence and at campaign collection. Nil = rebuild.
 	counterNames, gaugeNames, histNames []string
-	// encBuf is the reused Persist encoding buffer; guarded by mu.
+	// encBuf is the reused Persist encoding buffer.
 	encBuf []byte
 }
 
@@ -213,8 +206,6 @@ func NewRegistry() *Registry {
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
@@ -226,8 +217,6 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{}
@@ -240,8 +229,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the named histogram, creating it with the given bucket
 // bounds (DefaultFrameBuckets when none are supplied) on first use.
 func (r *Registry) Histogram(name string, bounds ...int64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
 		if len(bounds) == 0 {
@@ -265,8 +252,6 @@ type Snapshot struct {
 
 // Snapshot freezes every metric.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := Snapshot{
 		//lint:allow allocfree snapshot-copy surface: the frozen copy is the point; per-frame only under the opt-in live telemetry plane's publish hook
 		Counters: make(map[string]int64, len(r.counters)),
@@ -308,8 +293,6 @@ const metricsKey = "telemetry/metrics"
 // metrics cadence of the frame loop and the reflection walk over three maps
 // of metrics allocated kilobytes per call.
 func (r *Registry) Persist(kv KV) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.counterNames == nil {
 		r.counterNames = det.SortedKeys(r.counters)
 	}
@@ -371,8 +354,6 @@ func (r *Registry) Persist(kv KV) error {
 // appendHistogram appends h's state as the JSON encoding/json produces for
 // HistogramSnapshot.
 func appendHistogram(buf []byte, h *Histogram) []byte {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	buf = append(buf, `{"bounds":`...)
 	buf = appendInt64s(buf, h.bounds)
 	buf = append(buf, `,"counts":`...)

@@ -242,11 +242,18 @@ func (r Reconfiguration) Frames() int64 { return r.EndC - r.StartC + 1 }
 
 // Reconfigs is get_reconfigs: it extracts every completed reconfiguration
 // from the trace. A trailing window still open when the trace ends is not
-// returned here; see OpenReconfig.
+// returned here; see OpenReconfig. Nor, on a trimmed trace (Base > 0), is a
+// leading window already in progress at States[0]: its start was trimmed
+// away, so the trace cannot say where it began.
 func (t *Trace) Reconfigs() []Reconfiguration {
 	var out []Reconfiguration
 	n := int64(len(t.States))
 	var c int64
+	if t.Base > 0 {
+		for c < n && !t.States[c].allNormal() {
+			c++ // leading window cut by a trim
+		}
+	}
 	for c < n {
 		if t.States[c].allNormal() {
 			c++

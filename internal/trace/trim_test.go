@@ -91,3 +91,31 @@ func TestTrimmedTraceJSONRoundTrip(t *testing.T) {
 		t.Fatal("tampered trimmed trace decoded")
 	}
 }
+
+// TestTrimInsideWindowDropsCutReconfig trims a trace in the middle of a
+// reconfiguration window. The retained part starts mid-window, so the
+// window's real start is gone: Reconfigs must not report it as a completed
+// reconfiguration starting at Base, and SP1 must not flag it. The untrimmed
+// trace is unchanged.
+func TestTrimInsideWindowDropsCutReconfig(t *testing.T) {
+	whole := cleanReconfigTrace(t)
+	want := []Reconfiguration{{StartC: 2, EndC: 5, From: "full", To: "degraded"}}
+	if got := whole.Reconfigs(); len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("untrimmed reconfigs = %+v, want %+v", got, want)
+	}
+	if v := CheckSP1(whole); len(v) != 0 {
+		t.Fatalf("untrimmed SP1 violations: %v", v)
+	}
+
+	cut := cleanReconfigTrace(t)
+	cut.Trim(3) // cycle 3 is inside the [2,5] window
+	if got := cut.Reconfigs(); len(got) != 0 {
+		t.Errorf("trimmed reconfigs = %+v, want none (the window's start was trimmed)", got)
+	}
+	if v := CheckSP1(cut); len(v) != 0 {
+		t.Errorf("trimmed SP1 violations: %v", v)
+	}
+	if v := CheckAll(cut, twoAppSpec()); len(v) != 0 {
+		t.Errorf("trimmed CheckAll violations: %v", v)
+	}
+}
