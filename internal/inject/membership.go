@@ -163,14 +163,11 @@ func corruptRecordBytes(variant int, mgr *membership.Manager) []byte {
 		v.Members = append(v.Members, membership.Member{
 			Proc: "zombie", Status: membership.StatusActive, CaughtUp: true,
 		})
-		if raw, err := membership.EncodeRecord(v); err == nil {
-			return raw
-		}
+		return membership.EncodeRecord(v)
 	case 2:
-		if raw, err := membership.EncodeRecord(mgr.View()); err == nil && len(raw) > 4 {
-			raw[len(raw)/2] ^= 0xFF // torn write: one flipped byte
-			return raw
-		}
+		raw := membership.EncodeRecord(mgr.View())
+		raw[len(raw)/2] ^= 0xFF // torn write: one flipped byte
+		return raw
 	}
 	return []byte("{{membership-record-garbage")
 }

@@ -14,8 +14,8 @@ import (
 var StableErr = &Analyzer{
 	Name: "stableerr",
 	Doc: "Errors returned by stable.Store/Region/ReplicatedStore/Medium, " +
-		"bus.Bus/Endpoint, scram command helpers, and the membership manager and " +
-		"record codecs must be used — returned, inspected, or fed to a halt " +
+		"bus.Bus/Endpoint, scram command helpers, and the membership record " +
+		"codec and re-verifier must be used — returned, inspected, or fed to a halt " +
 		"path — never assigned to _ or dropped.",
 	Run: runStableErr,
 }
@@ -35,19 +35,14 @@ var stableErrRecvTypes = map[string]map[string]bool{
 		"Bus":      true,
 		"Endpoint": true,
 	},
-	"repro/internal/membership": {
-		"Manager": true,
-	},
 }
 
 // stableErrFuncs lists in-scope package-level functions.
 var stableErrFuncs = map[string]map[string]bool{
 	"repro/internal/scram": {
-		"WriteCommand": true,
-		"ReadCommand":  true,
+		"ReadCommand": true,
 	},
 	"repro/internal/membership": {
-		"EncodeRecord": true,
 		"DecodeRecord": true,
 		"Verify":       true,
 	},

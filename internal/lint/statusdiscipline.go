@@ -17,7 +17,7 @@ import (
 var StatusDiscipline = &Analyzer{
 	Name: "statusdiscipline",
 	Doc: "Keys under scram/ in stable storage may only be written through the " +
-		"scram package's helpers (WriteCommand, the kernel's persist path), " +
+		"scram kernel's own command and state writes, " +
 		"never by raw Put/Delete calls from other packages.",
 	Run: runStatusDiscipline,
 }

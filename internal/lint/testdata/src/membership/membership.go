@@ -56,12 +56,11 @@ func asyncCatchUp(v view) {
 	}()
 }
 
-// dropRecordErrors drops the record codec's and the manager's errors: an
-// unencodable view or a failed record staging must halt the frame, not
-// silently keep the stale epoch serving.
-func dropRecordErrors(m *mem.Manager, st *stable.Store, v mem.View) {
-	mem.EncodeRecord(v)             // want `error from repro/internal/membership.EncodeRecord is dropped`
-	m.Finish(1, st, nil)            // want `error from \(repro/internal/membership.Manager\).Finish is dropped`
+// dropRecordErrors drops the record codec's and the re-verifier's errors: a
+// corrupt record or an unverifiable member set must reach the convergence or
+// rejection path, not silently keep the stale epoch serving.
+func dropRecordErrors(v mem.View) {
+	mem.Verify(nil, nil)            // want `error from repro/internal/membership.Verify is dropped`
 	got, _ := mem.DecodeRecord(nil) // want `error from repro/internal/membership.DecodeRecord is assigned to _`
 	_ = got
 }
@@ -76,11 +75,12 @@ func sortedMembers(v view) []string {
 	return ids
 }
 
-// finishFrame shows the legal forms: the record error returned to the
+// finishFrame shows the legal form: the record error returned to the
 // caller, which owns the halt path.
 func finishFrame(m *mem.Manager, st *stable.Store) error {
 	if _, err := mem.DecodeRecord(nil); err != nil {
 		return err
 	}
-	return m.Finish(1, st, nil)
+	m.Finish(1, st, nil)
+	return nil
 }

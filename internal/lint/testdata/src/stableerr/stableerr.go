@@ -16,8 +16,8 @@ func dropped(st *stable.Store, ep *bus.Endpoint) {
 }
 
 func blanked(st *stable.Store) int64 {
-	n, _ := st.GetInt64("work")                        // want `error from \(repro/internal/stable.Store\).GetInt64 is assigned to _`
-	_ = scram.WriteCommand(st, "nav", scram.Command{}) // want `error from repro/internal/scram.WriteCommand is assigned to _`
+	n, _ := st.GetInt64("work")            // want `error from \(repro/internal/stable.Store\).GetInt64 is assigned to _`
+	_, _, _ = scram.ReadCommand(st, "nav") // want `error from repro/internal/scram.ReadCommand is assigned to _`
 	return n
 }
 

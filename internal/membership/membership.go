@@ -39,11 +39,10 @@
 package membership
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/spec"
+	"repro/internal/stable"
 )
 
 // Status is a member processor's lifecycle state within the view.
@@ -77,9 +76,9 @@ type Member struct {
 // View is the frame-synchronous membership view: the epoch number, the
 // authoritative kernel host, and the member set sorted by processor ID.
 type View struct {
-	Epoch   int64       `json:"epoch"`
-	Auth    spec.ProcID `json:"auth"`
-	Members []Member    `json:"members"`
+	Epoch   int64
+	Auth    spec.ProcID
+	Members []Member
 }
 
 // Member returns the view's entry for proc, or nil. The pointer aliases the
@@ -109,43 +108,94 @@ const RecordKey = "membership/view"
 // joining or standby member's own store.
 const catchUpPrefix = "membership/catchup/"
 
-// record is the persisted form of a view: the view plus a checksum over its
-// canonical encoding, so a torn or bit-flipped record is detected rather
-// than decoded into garbage.
-type record struct {
-	View View   `json:"view"`
-	CRC  uint32 `json:"crc"`
+// The committed membership record uses the frame-path record codec of
+// package stable: tag byte, the epoch, the authoritative host, the member
+// count, then per member its processor, status, catch-up count and
+// eligibility flag, all under a CRC32C trailer — a torn or bit-flipped
+// record is detected by the checksum rather than decoded into garbage.
+const tagView byte = 'M'
+
+// memberMinSize is the smallest encoding of one member: two empty strings'
+// lengths, a one-byte varint and a flag.
+const memberMinSize = 4
+
+// appendRecord appends the checksummed record of v to dst.
+func appendRecord(dst []byte, v View) []byte {
+	start := len(dst)
+	dst = append(dst, tagView)
+	dst = stable.AppendVarint(dst, v.Epoch)
+	dst = stable.AppendString(dst, string(v.Auth))
+	dst = stable.AppendCount(dst, len(v.Members))
+	for i := range v.Members {
+		mem := &v.Members[i]
+		dst = stable.AppendString(dst, string(mem.Proc))
+		dst = stable.AppendString(dst, string(mem.Status))
+		dst = stable.AppendVarint(dst, int64(mem.CatchUp))
+		dst = stable.AppendFlag(dst, mem.CaughtUp)
+	}
+	return stable.SealRecord(dst, start)
 }
 
 // EncodeRecord renders a view as a checksummed stable-storage record.
-func EncodeRecord(v View) ([]byte, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("membership: encoding view: %w", err)
+func EncodeRecord(v View) []byte { return appendRecord(nil, v) }
+
+// DecodeRecord parses and checks a committed membership record. Every
+// failure — a checksum mismatch (a torn write) or a malformed field — wraps
+// stable.ErrCorrupt.
+func DecodeRecord(raw []byte) (View, error) {
+	var v View
+	if err := decodeRecordInto(raw, nil, &v); err != nil {
+		return View{}, err
 	}
-	raw, err := json.Marshal(record{View: v, CRC: crc32.ChecksumIEEE(body)})
-	if err != nil {
-		return nil, fmt.Errorf("membership: encoding record: %w", err)
-	}
-	return raw, nil
+	return v, nil
 }
 
-// DecodeRecord parses and checks a committed membership record. It fails on
-// malformed JSON and on checksum mismatch (a torn write), the two shapes of
-// physical corruption a stable store can hand back.
-func DecodeRecord(raw []byte) (View, error) {
-	var rec record
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return View{}, fmt.Errorf("membership: corrupt record: %w", err)
+// decodeRecordInto decodes a committed membership record into v in place,
+// reusing v's member slice, and interns the processor IDs against rs's
+// platform (nil rs interns nothing). A view decoded from the frame's own
+// records allocates nothing.
+func decodeRecordInto(raw []byte, rs *spec.ReconfigSpec, v *View) error {
+	r := stable.OpenRecord(raw, tagView)
+	v.Epoch = r.Varint()
+	v.Auth = internProc(rs, r.Bytes())
+	n := r.Count(memberMinSize)
+	v.Members = v.Members[:0]
+	for i := 0; i < n && r.Err() == nil; i++ {
+		//lint:allow allocfree bounded: the scratch view grows to the largest member set once, then is reused
+		v.Members = append(v.Members, Member{
+			Proc:     internProc(rs, r.Bytes()),
+			Status:   internStatus(r.Bytes()),
+			CatchUp:  int(r.Varint()),
+			CaughtUp: r.Flag(),
+		})
 	}
-	body, err := json.Marshal(rec.View)
-	if err != nil {
-		return View{}, fmt.Errorf("membership: re-encoding record view: %w", err)
+	if err := r.Close(); err != nil {
+		//lint:allow allocfree corrupt-record path: formats only for a record that failed its check, and the frame then converges to a re-committed view
+		return fmt.Errorf("membership: corrupt record: %w", err)
 	}
-	if sum := crc32.ChecksumIEEE(body); sum != rec.CRC {
-		return View{}, fmt.Errorf("membership: torn record: crc %08x, want %08x", rec.CRC, sum)
+	return nil
+}
+
+// internProc returns the platform's own string for a decoded processor ID.
+func internProc(rs *spec.ReconfigSpec, b []byte) spec.ProcID {
+	if rs != nil {
+		for i := range rs.Platform.Procs {
+			if id := rs.Platform.Procs[i].ID; string(id) == string(b) {
+				return id
+			}
+		}
 	}
-	return rec.View, nil
+	return spec.ProcID(b)
+}
+
+// internStatus returns the status constant for a decoded member status.
+func internStatus(b []byte) Status {
+	for _, st := range [...]Status{StatusActive, StatusJoining, StatusDown} {
+		if string(st) == string(b) {
+			return st
+		}
+	}
+	return Status(b)
 }
 
 // membersEqual reports whether two sorted member slices agree on membership:

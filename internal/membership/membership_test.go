@@ -1,6 +1,7 @@
 package membership_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -45,9 +46,7 @@ func newHarness(t *testing.T, spares int, events []membership.Event) *harness {
 func (h *harness) frame(f int64) {
 	h.t.Helper()
 	h.mgr.Step(f, h.st)
-	if err := h.mgr.Finish(f, h.st, nil); err != nil {
-		h.t.Fatalf("Finish(%d): %v", f, err)
-	}
+	h.mgr.Finish(f, h.st, nil)
 	h.st.Commit()
 }
 
@@ -65,10 +64,7 @@ func TestEncodeDecodeRecord(t *testing.T) {
 		{Proc: "p1", Status: membership.StatusActive, CaughtUp: true},
 		{Proc: "p2", Status: membership.StatusJoining, CatchUp: 2},
 	}}
-	raw, err := membership.EncodeRecord(v)
-	if err != nil {
-		t.Fatalf("EncodeRecord: %v", err)
-	}
+	raw := membership.EncodeRecord(v)
 	got, err := membership.DecodeRecord(raw)
 	if err != nil {
 		t.Fatalf("DecodeRecord: %v", err)
@@ -77,14 +73,33 @@ func TestEncodeDecodeRecord(t *testing.T) {
 		t.Fatalf("roundtrip mismatch: %+v", got)
 	}
 
-	if _, err := membership.DecodeRecord([]byte("not json at all")); err == nil {
+	if _, err := membership.DecodeRecord([]byte("not a record at all")); err == nil {
 		t.Fatal("garbage decoded without error")
 	}
-	// A torn record: valid JSON shape, checksum of different content.
-	torn := []byte(strings.Replace(string(raw), `"epoch":7`, `"epoch":8`, 1))
-	if _, err := membership.DecodeRecord(torn); err == nil || !strings.Contains(err.Error(), "torn") {
+	// A torn record: the binary layout intact, one byte of the body flipped
+	// (the epoch varint, 7 -> 8), so the checksum covers different content.
+	torn := append([]byte(nil), raw...)
+	if torn[1] != 14 { // zigzag varint of 7
+		t.Fatalf("epoch byte = %d, want 14: record layout changed", torn[1])
+	}
+	torn[1] = 16 // zigzag varint of 8
+	_, err = membership.DecodeRecord(torn)
+	if err == nil || !strings.Contains(err.Error(), "torn") {
 		t.Fatalf("torn record: got %v, want torn-record error", err)
 	}
+	if !errors.Is(err, stable.ErrCorrupt) {
+		t.Fatalf("torn record error %v does not wrap stable.ErrCorrupt", err)
+	}
+}
+
+// tornRecord is a well-formed epoch-3 record whose checksum trailer does not
+// match its body.
+func tornRecord() []byte {
+	raw := membership.EncodeRecord(membership.View{Epoch: 3, Auth: "p1", Members: []membership.Member{
+		{Proc: "p1", Status: membership.StatusActive, CaughtUp: true},
+	}})
+	raw[len(raw)-1] ^= 0x5A
+	return raw
 }
 
 func TestVerifyRejectsRemovingPlacedProcessor(t *testing.T) {
@@ -252,7 +267,7 @@ func TestCrashEvictionAndRepairRejoin(t *testing.T) {
 // record is re-committed at that same frame's boundary: at most 2 frames
 // after the corrupting commit, the committed record is legal again.
 func TestConvergenceFromArbitraryCorruption(t *testing.T) {
-	ghost, err := membership.EncodeRecord(membership.View{
+	ghost := membership.EncodeRecord(membership.View{
 		Epoch: 999,
 		Auth:  "p1",
 		Members: []membership.Member{
@@ -260,10 +275,7 @@ func TestConvergenceFromArbitraryCorruption(t *testing.T) {
 			{Proc: "zombie", Status: membership.StatusActive, CaughtUp: true},
 		},
 	})
-	if err != nil {
-		t.Fatalf("encoding ghost record: %v", err)
-	}
-	divergent, err := membership.EncodeRecord(membership.View{
+	divergent := membership.EncodeRecord(membership.View{
 		Epoch: 1,
 		Auth:  "p2",
 		Members: []membership.Member{
@@ -271,9 +283,6 @@ func TestConvergenceFromArbitraryCorruption(t *testing.T) {
 			{Proc: "p2", Status: membership.StatusActive, CaughtUp: true},
 		},
 	})
-	if err != nil {
-		t.Fatalf("encoding divergent record: %v", err)
-	}
 	cases := []struct {
 		name string
 		raw  []byte
@@ -281,7 +290,10 @@ func TestConvergenceFromArbitraryCorruption(t *testing.T) {
 		minEpoch int64
 	}{
 		{"garbage-bytes", []byte("\x00\xff not a record"), 0},
+		// A torn record in the JSON shape records had before the binary
+		// codec: there is no JSON fallback decoder, so it is corrupt too.
 		{"torn-json", []byte(`{"view":{"epoch":3},"crc":12345}`), 0},
+		{"torn-record", tornRecord(), 0},
 		{"ghost-member-valid-crc", ghost, 999},
 		{"divergent-auth-valid-crc", divergent, 0},
 	}

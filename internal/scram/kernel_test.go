@@ -1,8 +1,10 @@
 package scram
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/envmon"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/spec"
 	"repro/internal/spectest"
 	"repro/internal/stable"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -605,13 +608,13 @@ func TestKernelAccessors(t *testing.T) {
 
 func TestReadCommandErrors(t *testing.T) {
 	st := stable.NewStore()
-	st.PutString("scram/cmd/broken", "{not json")
+	st.PutString("scram/cmd/broken", "{not a record")
 	st.Commit()
-	if _, _, err := ReadCommand(st, "broken"); err == nil {
-		t.Error("malformed command decoded")
+	if _, _, err := ReadCommand(st, "broken"); !errors.Is(err, stable.ErrCorrupt) {
+		t.Errorf("malformed command: err = %v, want stable.ErrCorrupt", err)
 	}
-	if err := unmarshalState([]byte("{"), &kernelState{}); err == nil {
-		t.Error("malformed state decoded")
+	if err := decodeState([]byte("{"), spectest.ThreeConfig(), &kernelState{}); !errors.Is(err, stable.ErrCorrupt) {
+		t.Errorf("malformed state: err = %v, want stable.ErrCorrupt", err)
 	}
 }
 
@@ -693,6 +696,45 @@ func TestTrimLogCompactsInPlace(t *testing.T) {
 	for i, e := range k.events[len(k.events):capBefore] {
 		if e != (Event{}) {
 			t.Fatalf("vacated slot %d still holds %v", i, e)
+		}
+	}
+}
+
+// TestRestoredPlanMatchesLiveEveryFrame is the regression test for the open
+// phase span lost on takeover: with tracing on, a standby restoring from
+// the committed snapshot after any frame of a reconfiguration window must
+// hold exactly the live kernel's state — plan, span bookkeeping included —
+// or it reopens a phase span the primary already opened and never closes
+// it.
+func TestRestoredPlanMatchesLiveEveryFrame(t *testing.T) {
+	for name, rs := range map[string]*spec.ReconfigSpec{
+		"staged":     spectest.ThreeConfig(),
+		"compressed": func() *spec.ReconfigSpec { rs := spectest.ThreeConfig(); rs.Compression = true; return rs }(),
+	} {
+		k, st := newTestKernel(t, rs)
+		rec := telemetry.NewRecorder(0)
+		k.SetTelemetry(nil, rec)
+		k.SetTracing(telemetry.NewSpanBook(1, rec))
+		spans := 0
+		for f := int64(0); f <= 12; f++ {
+			if f == 3 {
+				k.Signal(envmon.Signal{Source: spectest.AppMonitor, State: spectest.EnvReduced, Frame: f})
+			}
+			step(t, k, st, f)
+			restored, err := Restore(rs, stable.NewStore(), st.Snapshot())
+			if err != nil {
+				t.Fatalf("%s frame %d: Restore: %v", name, f, err)
+			}
+			if !reflect.DeepEqual(restored.st, k.st) {
+				t.Fatalf("%s frame %d: restored state\n %+v (plan %+v)\nlive\n %+v (plan %+v)",
+					name, f, restored.st, restored.st.Plan, k.st, k.st.Plan)
+			}
+			if p := k.st.Plan; p != nil && p.SpanPhase != 0 {
+				spans++
+			}
+		}
+		if spans == 0 {
+			t.Fatalf("%s: no frame ended with an open phase span; the window was not traced", name)
 		}
 	}
 }

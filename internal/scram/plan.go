@@ -3,7 +3,6 @@ package scram
 import (
 	"fmt"
 
-	"repro/internal/det"
 	"repro/internal/spec"
 	"repro/internal/statics"
 )
@@ -13,13 +12,10 @@ import (
 // start of -1 means the application does not participate in that phase (it
 // is off in the relevant configuration) and merely holds.
 type appWindows struct {
-	HaltStart int64       `json:"halt_start"`
-	HaltEnd   int64       `json:"halt_end"`
-	PrepStart int64       `json:"prep_start"`
-	PrepEnd   int64       `json:"prep_end"`
-	InitStart int64       `json:"init_start"`
-	InitEnd   int64       `json:"init_end"`
-	Target    spec.SpecID `json:"target"`
+	HaltStart, HaltEnd int64
+	PrepStart, PrepEnd int64
+	InitStart, InitEnd int64
+	Target             spec.SpecID
 }
 
 // plan is one scheduled reconfiguration: the realization of Table 1 for a
@@ -27,42 +23,45 @@ type appWindows struct {
 // from the same dependency-aware critical-path analysis the static timing
 // obligation uses.
 type plan struct {
-	Seq          int64                      `json:"seq"`
-	Source       spec.ConfigID              `json:"source"`
-	Target       spec.ConfigID              `json:"target"`
-	TriggerFrame int64                      `json:"trigger_frame"`
-	HaltStart    int64                      `json:"halt_start"`
-	HaltEnd      int64                      `json:"halt_end"`
-	PrepStart    int64                      `json:"prep_start"`
-	PrepEnd      int64                      `json:"prep_end"`
-	InitStart    int64                      `json:"init_start"`
-	InitEnd      int64                      `json:"init_end"`
-	Apps         map[spec.AppID]*appWindows `json:"apps"`
-	Retargeted   bool                       `json:"retargeted"`
+	Seq          int64
+	Source       spec.ConfigID
+	Target       spec.ConfigID
+	TriggerFrame int64
+	HaltStart    int64
+	HaltEnd      int64
+	PrepStart    int64
+	PrepEnd      int64
+	InitStart    int64
+	InitEnd      int64
+	// Apps holds one window set per application of the specification, in
+	// declaration order.
+	Apps       []appWindows
+	Retargeted bool
 	// Chained marks a plan started in the same frame its predecessor
 	// completed in (the urgent chain-through path): its trigger frame is
 	// mid-window, not a frame of normal operation.
-	Chained bool `json:"chained,omitempty"`
+	Chained bool
 	// ChainStart and ChainSource identify the fused trace window a chain
 	// of plans forms: the trigger frame and source configuration of the
 	// first plan in the chain. For an unchained plan they equal
 	// TriggerFrame and Source.
-	ChainStart  int64         `json:"chain_start"`
-	ChainSource spec.ConfigID `json:"chain_source"`
+	ChainStart  int64
+	ChainSource spec.ConfigID
 	// SpanPhase and SpanPhaseName track the open phase span of the causal
-	// trace layer. They ride in the plan JSON so a takeover's restored
+	// trace layer. They ride in the persisted plan so a takeover's restored
 	// plan keeps closing the phase span its snapshot captured open; both
 	// are zero outside an active phase span.
-	SpanPhase     int64  `json:"span_phase,omitempty"`
-	SpanPhaseName string `json:"span_phase_name,omitempty"`
+	SpanPhase     int64
+	SpanPhaseName string
 }
 
 // buildPlan schedules a reconfiguration triggered at triggerFrame from
-// source to target. Frame triggerFrame+1 begins the halt phase, matching
-// Table 1's frame numbering (frame 0 carries only the failure signal).
-func buildPlan(rs *spec.ReconfigSpec, seq int64, source, target spec.ConfigID, triggerFrame int64) (*plan, error) {
-	srcCfg, ok := rs.Config(source)
-	if !ok {
+// source to target, serving the phase schedules from the specification's
+// plan table. Frame triggerFrame+1 begins the halt phase, matching Table 1's
+// frame numbering (frame 0 carries only the failure signal).
+func buildPlan(plans *statics.Plans, seq int64, source, target spec.ConfigID, triggerFrame int64) (*plan, error) {
+	rs := plans.Spec()
+	if _, ok := rs.Config(source); !ok {
 		return nil, fmt.Errorf("scram: unknown source configuration %q", source)
 	}
 	tgtCfg, ok := rs.Config(target)
@@ -76,87 +75,79 @@ func buildPlan(rs *spec.ReconfigSpec, seq int64, source, target spec.ConfigID, t
 		Target:       target,
 		TriggerFrame: triggerFrame,
 		HaltStart:    triggerFrame + 1,
-		Apps:         make(map[spec.AppID]*appWindows),
+		Apps:         make([]appWindows, len(rs.Apps)),
 		ChainStart:   triggerFrame,
 		ChainSource:  source,
 	}
-	for _, app := range rs.Apps {
-		aw := &appWindows{
+	for i := range rs.Apps {
+		aw := appWindows{
 			HaltStart: -1, HaltEnd: -1,
 			PrepStart: -1, PrepEnd: -1,
 			InitStart: -1, InitEnd: -1,
 			Target: spec.SpecOff,
 		}
-		if app.Virtual {
+		if rs.Apps[i].Virtual {
 			// Virtual applications are not reconfigured (section
 			// 6.3); they follow the protocol only in recorded
 			// status.
-			aw.Target = app.Specs[0].ID
+			aw.Target = rs.Apps[i].Specs[0].ID
 		}
-		p.Apps[app.ID] = aw
+		p.Apps[i] = aw
 	}
 
 	if rs.Compression {
-		if err := p.scheduleCompressed(rs, srcCfg, tgtCfg); err != nil {
+		if err := p.scheduleCompressed(plans, tgtCfg); err != nil {
 			return nil, err
 		}
 		return p, nil
 	}
 
-	haltStarts, haltDur, haltLen, err := statics.PhasePlan(rs, srcCfg, spec.PhaseHalt)
+	halt, err := plans.Phase(source, spec.PhaseHalt)
 	if err != nil {
 		return nil, fmt.Errorf("scram: halt plan: %w", err)
 	}
-	p.HaltEnd = triggerFrame + int64(haltLen)
-	for id, off := range haltStarts {
-		aw := p.Apps[id]
-		aw.HaltStart = p.HaltStart + int64(off)
-		aw.HaltEnd = aw.HaltStart + int64(haltDur[id]) - 1
+	p.HaltEnd = triggerFrame + int64(halt.Length)
+	for i, sl := range halt.Slots {
+		if sl.Start >= 0 {
+			aw := &p.Apps[i]
+			aw.HaltStart = p.HaltStart + int64(sl.Start)
+			aw.HaltEnd = aw.HaltStart + int64(sl.Dur) - 1
+		}
 	}
-	if err := p.scheduleEntry(rs, tgtCfg, p.HaltEnd+1); err != nil {
+	if err := p.scheduleEntry(plans, tgtCfg, p.HaltEnd+1); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// scheduleCompressed fills the plan from the section 6.3 relaxed schedule:
-// per-application phase chaining with no global barriers. The global
-// boundary fields are set to the envelope of the per-application windows
-// (InitStart is the earliest initialize start, which gates retargeting).
-func (p *plan) scheduleCompressed(rs *spec.ReconfigSpec, srcCfg, tgtCfg *spec.Configuration) error {
-	sched, length, err := statics.CompressedSchedule(rs, srcCfg, tgtCfg)
+// scheduleCompressed fills the plan from the section 6.3 relaxed schedule of
+// (p.Source, p.Target): per-application phase chaining with no global
+// barriers. The global boundary fields are set to the envelope of the
+// per-application windows (InitStart is the earliest initialize start, which
+// gates retargeting).
+func (p *plan) scheduleCompressed(plans *statics.Plans, tgtCfg *spec.Configuration) error {
+	rs := plans.Spec()
+	cs, err := plans.Compressed(p.Source, p.Target)
 	if err != nil {
 		return fmt.Errorf("scram: compressed plan: %w", err)
 	}
 	base := p.TriggerFrame + 1
 	p.HaltEnd, p.PrepEnd = p.TriggerFrame, p.TriggerFrame
-	p.InitStart = base + int64(length) // lowered below by participants
-	p.InitEnd = p.TriggerFrame + int64(length)
+	p.InitStart = base + int64(cs.Length) // lowered below by participants
+	p.InitEnd = p.TriggerFrame + int64(cs.Length)
 	p.PrepStart = p.InitEnd // informational only under compression
-	// Sorted iteration keeps plan construction replay-stable (framedet:
-	// map order must not shape the envelope computation below).
-	for _, id := range det.SortedKeys(sched) {
-		s := sched[id]
-		aw, ok := p.Apps[id]
-		if !ok {
-			continue
-		}
-		if app, ok2 := rs.AppByID(id); ok2 && !app.Virtual {
-			if t, ok3 := tgtCfg.SpecOf(id); ok3 {
+	for i := range p.Apps {
+		aw, s := &p.Apps[i], cs.Apps[i]
+		if !rs.Apps[i].Virtual {
+			if t, ok := tgtCfg.SpecOf(rs.Apps[i].ID); ok {
 				aw.Target = t
 			} else {
 				aw.Target = spec.SpecOff
 			}
 		}
-		set := func(start, end int) (int64, int64) {
-			if start < 0 {
-				return -1, -1
-			}
-			return base + int64(start), base + int64(end)
-		}
-		aw.HaltStart, aw.HaltEnd = set(s.HaltStart, s.HaltEnd)
-		aw.PrepStart, aw.PrepEnd = set(s.PrepStart, s.PrepEnd)
-		aw.InitStart, aw.InitEnd = set(s.InitStart, s.InitEnd)
+		aw.HaltStart, aw.HaltEnd = window(base, s.HaltStart, s.HaltEnd)
+		aw.PrepStart, aw.PrepEnd = window(base, s.PrepStart, s.PrepEnd)
+		aw.InitStart, aw.InitEnd = window(base, s.InitStart, s.InitEnd)
 		if aw.HaltEnd > p.HaltEnd {
 			p.HaltEnd = aw.HaltEnd
 		}
@@ -173,43 +164,52 @@ func (p *plan) scheduleCompressed(rs *spec.ReconfigSpec, srcCfg, tgtCfg *spec.Co
 	return nil
 }
 
+// window places a schedule's inclusive offset range at base; a start of -1
+// (no participation) stays -1.
+func window(base int64, start, end int) (int64, int64) {
+	if start < 0 {
+		return -1, -1
+	}
+	return base + int64(start), base + int64(end)
+}
+
 // scheduleEntry (re)schedules the prepare and initialize phases for the
 // plan's target configuration, with the prepare phase starting at
 // prepStart. It is used both at plan construction and at retargeting.
-func (p *plan) scheduleEntry(rs *spec.ReconfigSpec, tgtCfg *spec.Configuration, prepStart int64) error {
-	prepStarts, prepDur, prepLen, err := statics.PhasePlan(rs, tgtCfg, spec.PhasePrepare)
+func (p *plan) scheduleEntry(plans *statics.Plans, tgtCfg *spec.Configuration, prepStart int64) error {
+	rs := plans.Spec()
+	prep, err := plans.Phase(tgtCfg.ID, spec.PhasePrepare)
 	if err != nil {
 		return fmt.Errorf("scram: prepare plan: %w", err)
 	}
-	initStarts, initDur, initLen, err := statics.PhasePlan(rs, tgtCfg, spec.PhaseInit)
+	ini, err := plans.Phase(tgtCfg.ID, spec.PhaseInit)
 	if err != nil {
 		return fmt.Errorf("scram: init plan: %w", err)
 	}
 	p.PrepStart = prepStart
-	p.PrepEnd = prepStart + int64(prepLen) - 1
+	p.PrepEnd = prepStart + int64(prep.Length) - 1
 	p.InitStart = p.PrepEnd + 1
-	p.InitEnd = p.PrepEnd + int64(initLen)
+	p.InitEnd = p.PrepEnd + int64(ini.Length)
 
-	for id, aw := range p.Apps {
+	for i := range p.Apps {
+		aw := &p.Apps[i]
 		aw.PrepStart, aw.PrepEnd = -1, -1
 		aw.InitStart, aw.InitEnd = -1, -1
-		if app, ok := rs.AppByID(id); ok && !app.Virtual {
-			if t, ok := tgtCfg.SpecOf(id); ok {
+		if !rs.Apps[i].Virtual {
+			if t, ok := tgtCfg.SpecOf(rs.Apps[i].ID); ok {
 				aw.Target = t
 			} else {
 				aw.Target = spec.SpecOff
 			}
 		}
-	}
-	for id, off := range prepStarts {
-		aw := p.Apps[id]
-		aw.PrepStart = p.PrepStart + int64(off)
-		aw.PrepEnd = aw.PrepStart + int64(prepDur[id]) - 1
-	}
-	for id, off := range initStarts {
-		aw := p.Apps[id]
-		aw.InitStart = p.InitStart + int64(off)
-		aw.InitEnd = aw.InitStart + int64(initDur[id]) - 1
+		if sl := prep.Slots[i]; sl.Start >= 0 {
+			aw.PrepStart = p.PrepStart + int64(sl.Start)
+			aw.PrepEnd = aw.PrepStart + int64(sl.Dur) - 1
+		}
+		if sl := ini.Slots[i]; sl.Start >= 0 {
+			aw.InitStart = p.InitStart + int64(sl.Start)
+			aw.InitEnd = aw.InitStart + int64(sl.Dur) - 1
+		}
 	}
 	return nil
 }
@@ -219,7 +219,8 @@ func (p *plan) scheduleEntry(rs *spec.ReconfigSpec, tgtCfg *spec.Configuration, 
 // restarts at frameNow+1 (or after the halt phase completes, whichever is
 // later). Under compression the whole relaxed entry schedule is rebuilt and
 // shifted so no prepare begins before frameNow+1.
-func (p *plan) retarget(rs *spec.ReconfigSpec, newTarget spec.ConfigID, seq, frameNow int64) error {
+func (p *plan) retarget(plans *statics.Plans, newTarget spec.ConfigID, seq, frameNow int64) error {
+	rs := plans.Spec()
 	tgtCfg, ok := rs.Config(newTarget)
 	if !ok {
 		return fmt.Errorf("scram: unknown retarget configuration %q", newTarget)
@@ -228,31 +229,22 @@ func (p *plan) retarget(rs *spec.ReconfigSpec, newTarget spec.ConfigID, seq, fra
 	p.Seq = seq
 	p.Retargeted = true
 	if rs.Compression {
-		srcCfg, ok := rs.Config(p.Source)
-		if !ok {
-			return fmt.Errorf("scram: unknown source configuration %q", p.Source)
-		}
-		// Rebuild the relaxed schedule for the new target, keep the
-		// already-executed halt windows, and uniformly shift the entry
-		// windows so none starts before frameNow+1.
-		halts := make(map[spec.AppID]*appWindows, len(p.Apps))
-		for id, aw := range p.Apps {
-			cp := *aw
-			halts[id] = &cp
-		}
-		if err := p.scheduleCompressed(rs, srcCfg, tgtCfg); err != nil {
+		// Rebuild the relaxed schedule for the new target and uniformly
+		// shift the entry windows so none starts before frameNow+1. The
+		// halt windows come out as the already-executed ones: the halt
+		// schedule depends only on the source configuration and the
+		// trigger frame, which a retarget keeps.
+		if err := p.scheduleCompressed(plans, tgtCfg); err != nil {
 			return err
 		}
 		var shift int64
-		for _, id := range det.SortedKeys(p.Apps) {
-			if aw := p.Apps[id]; aw.PrepStart >= 0 && frameNow+1-aw.PrepStart > shift {
+		for i := range p.Apps {
+			if aw := &p.Apps[i]; aw.PrepStart >= 0 && frameNow+1-aw.PrepStart > shift {
 				shift = frameNow + 1 - aw.PrepStart
 			}
 		}
-		for id, aw := range p.Apps {
-			if prev, ok := halts[id]; ok {
-				aw.HaltStart, aw.HaltEnd = prev.HaltStart, prev.HaltEnd
-			}
+		for i := range p.Apps {
+			aw := &p.Apps[i]
 			if aw.PrepStart >= 0 {
 				aw.PrepStart += shift
 				aw.PrepEnd += shift
@@ -271,7 +263,7 @@ func (p *plan) retarget(rs *spec.ReconfigSpec, newTarget spec.ConfigID, seq, fra
 	if min := p.HaltEnd + 1; prepStart < min {
 		prepStart = min
 	}
-	return p.scheduleEntry(rs, tgtCfg, prepStart)
+	return p.scheduleEntry(plans, tgtCfg, prepStart)
 }
 
 // phaseAt returns the protocol phase in effect at the given frame.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/spec"
 	"repro/internal/spectest"
+	"repro/internal/statics"
 )
 
 // TestPlanInvariantsProperty checks, over random specifications and all
@@ -19,7 +20,7 @@ func TestPlanInvariantsProperty(t *testing.T) {
 		rs := spectest.Random(rng, 1+rng.Intn(5), 2+rng.Intn(3), 2+rng.Intn(3))
 		trigger := int64(rng.Intn(100))
 		for _, tr := range rs.Transitions {
-			p, err := buildPlan(rs, 1, tr.From, tr.To, trigger)
+			p, err := buildPlan(statics.NewPlans(rs), 1, tr.From, tr.To, trigger)
 			if err != nil {
 				t.Fatalf("seed %d %s->%s: %v", seed, tr.From, tr.To, err)
 			}
@@ -44,9 +45,10 @@ func TestPlanInvariantsProperty(t *testing.T) {
 			// declared durations.
 			srcCfg, _ := rs.Config(tr.From)
 			tgtCfg, _ := rs.Config(tr.To)
-			for id, aw := range p.Apps {
-				app, ok := rs.AppByID(id)
-				if !ok || app.Virtual {
+			for i, aw := range p.Apps {
+				app := &rs.Apps[i]
+				id := app.ID
+				if app.Virtual {
 					continue
 				}
 				if aw.HaltStart >= 0 {
@@ -74,11 +76,11 @@ func TestPlanInvariantsProperty(t *testing.T) {
 					if d.Dependent != id || aw.InitStart < 0 {
 						continue
 					}
-					indep, ok := p.Apps[d.Independent]
-					if !ok || indep.InitStart < 0 {
+					j := appIndex(rs, d.Independent)
+					if j < 0 || p.Apps[j].InitStart < 0 {
 						continue
 					}
-					if aw.InitStart <= indep.InitEnd {
+					if indep := p.Apps[j]; aw.InitStart <= indep.InitEnd {
 						t.Fatalf("dependency violated: %s init [%d,%d] overlaps %s init end %d",
 							id, aw.InitStart, aw.InitEnd, d.Independent, indep.InitEnd)
 					}

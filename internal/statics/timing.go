@@ -13,63 +13,10 @@ import (
 // dependency graph. Under the immediate retarget policy one worst-case
 // retarget (an extra prepare of the most expensive possible intermediate
 // target) is added, since the SCRAM permits at most one retarget per window
-// and only before initialization begins.
+// and only before initialization begins. Callers evaluating many windows of
+// one specification share a Plans table instead (Plans.RequiredWindow).
 func RequiredWindow(rs *spec.ReconfigSpec, from, to spec.ConfigID) (int, error) {
-	cfgFrom, ok := rs.Config(from)
-	if !ok {
-		return 0, fmt.Errorf("statics: unknown configuration %q", from)
-	}
-	cfgTo, ok := rs.Config(to)
-	if !ok {
-		return 0, fmt.Errorf("statics: unknown configuration %q", to)
-	}
-	var window int
-	if rs.Compression {
-		// Section 6.3 relaxation: per-application phase chaining.
-		_, length, err := CompressedSchedule(rs, cfgFrom, cfgTo)
-		if err != nil {
-			return 0, err
-		}
-		window = 1 + length
-	} else {
-		halt, err := phaseWindow(rs, cfgFrom, spec.PhaseHalt)
-		if err != nil {
-			return 0, err
-		}
-		prep, err := phaseWindow(rs, cfgTo, spec.PhasePrepare)
-		if err != nil {
-			return 0, err
-		}
-		ini, err := phaseWindow(rs, cfgTo, spec.PhaseInit)
-		if err != nil {
-			return 0, err
-		}
-		window = 1 + halt + prep + ini
-	}
-	if rs.Retarget == spec.RetargetImmediate {
-		extra, err := worstPrepareWindow(rs)
-		if err != nil {
-			return 0, err
-		}
-		window += extra
-	}
-	return window, nil
-}
-
-// worstPrepareWindow is the most expensive prepare phase over all
-// configurations: the cost of one abandoned mid-window target.
-func worstPrepareWindow(rs *spec.ReconfigSpec) (int, error) {
-	worst := 0
-	for i := range rs.Configs {
-		w, err := phaseWindow(rs, &rs.Configs[i], spec.PhasePrepare)
-		if err != nil {
-			return 0, err
-		}
-		if w > worst {
-			worst = w
-		}
-	}
-	return worst, nil
+	return NewPlans(rs).RequiredWindow(from, to)
 }
 
 // PhasePlan computes the schedule of one protocol phase for a
@@ -103,13 +50,6 @@ func PhasePlan(rs *spec.ReconfigSpec, cfg *spec.Configuration, phase spec.Phase)
 		starts[id] = d - weights[id]
 	}
 	return starts, weights, length, nil
-}
-
-// phaseWindow computes the critical path of one protocol phase for a
-// configuration.
-func phaseWindow(rs *spec.ReconfigSpec, cfg *spec.Configuration, phase spec.Phase) (int, error) {
-	_, _, length, err := PhasePlan(rs, cfg, phase)
-	return length, err
 }
 
 // phaseWeights returns each participating application's duration for the
@@ -199,11 +139,12 @@ func dagLongestPath(weights map[spec.AppID]int, deps []spec.Dependency) (map[spe
 }
 
 // transitionTimings evaluates the timing obligation for every declared
-// transition.
-func transitionTimings(rs *spec.ReconfigSpec) []TransitionTiming {
+// transition, filling the plan table with every schedule it evaluates.
+func transitionTimings(plans *Plans) []TransitionTiming {
+	rs := plans.Spec()
 	out := make([]TransitionTiming, 0, len(rs.Transitions))
 	for _, t := range rs.Transitions {
-		required, err := RequiredWindow(rs, t.From, t.To)
+		required, err := plans.RequiredWindow(t.From, t.To)
 		tt := TransitionTiming{
 			From:           t.From,
 			To:             t.To,
