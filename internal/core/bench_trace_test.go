@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/envmon"
@@ -48,22 +47,9 @@ func TestTraceOverheadBench(t *testing.T) {
 		t.Skip("benchmark harness skipped in -short mode")
 	}
 	const frames = 20_000
-	const pairs = 5
-	var on, off armSample
-	pcts := make([]float64, 0, pairs)
-	for i := 0; i < pairs; i++ {
-		son := measureSystem(t, buildTraceBenchSystem(t, false), frames)
-		soff := measureSystem(t, buildTraceBenchSystem(t, true), frames)
-		if i == 0 || son.nsPerFrame < on.nsPerFrame {
-			on = son
-		}
-		if i == 0 || soff.nsPerFrame < off.nsPerFrame {
-			off = soff
-		}
-		pcts = append(pcts, (son.nsPerFrame-soff.nsPerFrame)/soff.nsPerFrame*100)
-	}
-	sort.Float64s(pcts)
-	medianPct := pcts[len(pcts)/2]
+	on, off, medianPct := measurePair(t, 5, frames, func(tracing bool) *System {
+		return buildTraceBenchSystem(t, !tracing)
+	})
 
 	out := struct {
 		Benchmark   string        `json:"benchmark"`

@@ -95,6 +95,9 @@ type ReplicatedStore struct {
 	c       *replCounters
 	tel     telemetry.Sink // the no-op sink until Instrument
 	name    string         // host label for flight-recorder events
+	// attrs is the scratch flight-recorder events' attributes are built
+	// in; the recorder copies what it keeps.
+	attrs telemetry.Attrs
 	// union caches the sorted union of every medium's logical keys, with
 	// unionSet as its membership index. The key set can only grow, and only
 	// through Commit (deletions are tombstone records; repair, rescue and
@@ -435,10 +438,11 @@ func (r *ReplicatedStore) get(buf []byte, key string) ([]byte, bool, error) {
 	if best >= 0 {
 		if n := r.repairFrom(key, cands, best, nil); n > 0 {
 			r.c.readRepairs.Add(int64(n))
+			r.attrs = r.attrs[:0].With("repaired", int64(n))
 			r.record(telemetry.Event{
 				Kind:   telemetry.KindStorageRepair,
 				Detail: fmt.Sprintf("read repair of %q", key),
-				Attrs:  map[string]int64{"repaired": int64(n)},
+				Attrs:  r.attrs,
 			})
 		}
 		if win := cands[best].rec; !win.tombstone {
@@ -542,10 +546,11 @@ func (r *ReplicatedStore) Commit(v uint64, batch map[string]stagedVal) error {
 				r.rec = appendCommitRecord(r.rec[:0], v)
 				if r.media[i].Write(commitRecordKey, r.rec) == nil {
 					r.c.commitRescues.Inc()
+					r.attrs = r.attrs[:0].With("replica", int64(i)).With("version", int64(v))
 					r.record(telemetry.Event{
 						Kind:   telemetry.KindStorageRescue,
 						Detail: fmt.Sprintf("commit %d salvaged by promoting replica %d", v, i),
-						Attrs:  map[string]int64{"version": int64(v), "replica": int64(i)},
+						Attrs:  r.attrs,
 					})
 					okReplicas = 1
 					break
@@ -555,10 +560,11 @@ func (r *ReplicatedStore) Commit(v uint64, batch map[string]stagedVal) error {
 	}
 	if okReplicas == 0 {
 		r.c.unrecoverable.Inc()
+		r.attrs = r.attrs[:0].With("version", int64(v))
 		r.record(telemetry.Event{
 			Kind:   telemetry.KindStorageUnrecoverable,
 			Detail: fmt.Sprintf("commit %d absorbed by no caught-up replica", v),
-			Attrs:  map[string]int64{"version": int64(v)},
+			Attrs:  r.attrs,
 		})
 		return fmt.Errorf("%w: commit %d absorbed by no caught-up replica (of %d)", ErrUnrecoverable, v, len(r.media))
 	}
@@ -728,23 +734,24 @@ func (r *ReplicatedStore) Scrub(skip func(key string) bool) (ScrubReport, error)
 	}
 	r.c.scrubRuns.Inc()
 	if rep.Corrupt > 0 || rep.Repaired > 0 || rep.StaleCommits > 0 {
+		r.attrs = r.attrs[:0].
+			With("checked", int64(rep.Checked)).
+			With("corrupt", int64(rep.Corrupt)).
+			With("repaired", int64(rep.Repaired)).
+			With("stale_commits", int64(rep.StaleCommits))
 		r.record(telemetry.Event{
 			Kind:   telemetry.KindStorageScrub,
 			Detail: "scrub pass found work",
-			Attrs: map[string]int64{
-				"checked":       int64(rep.Checked),
-				"corrupt":       int64(rep.Corrupt),
-				"repaired":      int64(rep.Repaired),
-				"stale_commits": int64(rep.StaleCommits),
-			},
+			Attrs:  r.attrs,
 		})
 	}
 	if len(rep.Unrecoverable) > 0 {
 		r.c.unrecoverable.Add(int64(len(rep.Unrecoverable)))
+		r.attrs = r.attrs[:0].With("keys", int64(len(rep.Unrecoverable)))
 		r.record(telemetry.Event{
 			Kind:   telemetry.KindStorageUnrecoverable,
 			Detail: fmt.Sprintf("scrub found %d keys corrupt on all replicas", len(rep.Unrecoverable)),
-			Attrs:  map[string]int64{"keys": int64(len(rep.Unrecoverable))},
+			Attrs:  r.attrs,
 		})
 		return rep, fmt.Errorf("%w: scrub found %d keys corrupt on all replicas: %v",
 			ErrUnrecoverable, len(rep.Unrecoverable), rep.Unrecoverable)

@@ -115,7 +115,7 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 	// Attrs carries structured numeric attributes (frame windows, bounds,
 	// counts).
-	Attrs map[string]int64 `json:"attrs,omitempty"`
+	Attrs Attrs `json:"attrs,omitempty"`
 	// State is the per-frame system-state sample of a KindFrameState
 	// event.
 	State *FrameState `json:"state,omitempty"`
@@ -143,17 +143,12 @@ func (e Event) String() string {
 		fmt.Fprintf(&b, " (%s)", e.Detail)
 	}
 	if len(e.Attrs) > 0 {
-		keys := make([]string, 0, len(e.Attrs))
-		for k := range e.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		b.WriteString(" [")
-		for i, k := range keys {
+		for i, a := range e.Attrs {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
-			fmt.Fprintf(&b, "%s=%d", k, e.Attrs[k])
+			fmt.Fprintf(&b, "%s=%d", a.Key, a.Val)
 		}
 		b.WriteByte(']')
 	}
@@ -253,7 +248,18 @@ type Recorder struct {
 	// event, so the note cadence stays one event per noteEvery frames no
 	// matter how many events each trim evicts.
 	trimNoted int64
+	// attrs is the free tail of the block recorded events' attributes are
+	// copied into (see keepAttrs); attrBlock is that block's length.
+	attrs     Attrs
+	attrBlock int
 }
+
+// maxAttrBlock bounds the attribute block a Recorder carves events'
+// attributes from. The first block fits the first event's attributes and
+// each later one doubles, up to this bound, so a recorder that rarely
+// records attributes holds a few dozen bytes for them, and a busy one
+// allocates once per few dozen events.
+const maxAttrBlock = 256
 
 // trimNoteEvery is the frame cadence of KindTrim announcements. Aligned
 // with the metrics persistence cadence so a weeks-long run's journal
@@ -309,10 +315,10 @@ func (r *Recorder) SetFrame(f int64) {
 		r.resize(max(minRingSlots, 2*r.count))
 	}
 	if r.trimmed > r.trimNoted && f%trimNoteEvery == 0 {
-		//lint:allow allocfree retention note: one map every trimNoteEvery frames, amortized far below the per-frame budget
-		r.Record(Event{Frame: f, Kind: KindTrim, Attrs: map[string]int64{
-			"trimmed": r.trimmed,
-			"horizon": horizon,
+		//lint:allow allocfree retention note: one attribute slice every trimNoteEvery frames, amortized far below the per-frame budget
+		r.Record(Event{Frame: f, Kind: KindTrim, Attrs: Attrs{
+			{"horizon", horizon},
+			{"trimmed", r.trimmed},
 		}})
 		r.trimNoted = r.trimmed
 	}
@@ -340,6 +346,7 @@ func (r *Recorder) FrameNum() int64 {
 // stamped with the recorder's current frame; an explicit non-zero Frame is
 // kept.
 func (r *Recorder) Record(e Event) {
+	e.Attrs = r.keepAttrs(e.Attrs)
 	e.Seq = r.seq
 	r.seq++
 	if e.Frame == 0 {
@@ -357,6 +364,24 @@ func (r *Recorder) Record(e Event) {
 	}
 	r.buf[(r.head+r.count)%len(r.buf)] = e
 	r.count++
+}
+
+// keepAttrs copies an event's attributes into the recorder's block and
+// returns the copy, capacity-limited so an append to it cannot reach the
+// next event's. The caller keeps its slice to reuse. A block is garbage
+// once every event carved from it has left the ring.
+func (r *Recorder) keepAttrs(a Attrs) Attrs {
+	if len(a) == 0 {
+		return nil
+	}
+	if len(a) > cap(r.attrs) {
+		r.attrBlock = min(max(2*r.attrBlock, len(a)), maxAttrBlock)
+		//lint:allow allocfree amortized: one block per maxAttrBlock recorded attributes once the recorder is busy
+		r.attrs = make(Attrs, 0, max(r.attrBlock, len(a)))
+	}
+	kept := append(r.attrs, a...)
+	r.attrs = kept[len(kept):]
+	return kept[:len(a):len(a)]
 }
 
 // minRingSlots is the smallest backing array the ring grows from and

@@ -56,10 +56,10 @@ func (m *refRing) setFrame(f int64) {
 		m.trimmed++
 	}
 	if m.trimmed > m.trimNoted && f%trimNoteEvery == 0 {
-		m.record(Event{Frame: f, Kind: KindTrim, Attrs: map[string]int64{
+		m.record(Event{Frame: f, Kind: KindTrim, Attrs: attrsOf(map[string]int64{
 			"trimmed": m.trimmed,
 			"horizon": horizon,
-		}})
+		})})
 		m.trimNoted = m.trimmed
 	}
 }
@@ -112,7 +112,7 @@ func randomEvent(rng *rand.Rand) Event {
 		e.Detail = "alt1 reports failed"
 	}
 	if rng.Intn(3) == 0 {
-		e.Attrs = map[string]int64{"seq": rng.Int63n(100), "window": rng.Int63n(10)}
+		e.Attrs = attrsOf(map[string]int64{"seq": rng.Int63n(100), "window": rng.Int63n(10)})
 	}
 	if e.Kind == KindFrameState {
 		e.State = &FrameState{Config: "full", Env: "nominal", Apps: map[spec.AppID]AppSnap{"a": {}}}

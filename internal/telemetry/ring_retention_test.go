@@ -74,7 +74,7 @@ func TestRingRetentionNote(t *testing.T) {
 		t.Fatal("no journal-trim note recorded")
 	}
 	n := notes[len(notes)-1]
-	if n.Attrs["trimmed"] <= 0 || n.Attrs["horizon"] <= 0 {
+	if n.Attrs.Value("trimmed") <= 0 || n.Attrs.Value("horizon") <= 0 {
 		t.Fatalf("trim note attrs = %v", n.Attrs)
 	}
 }

@@ -19,11 +19,11 @@ func testSnapshot(t *testing.T) Snapshot {
 	rec := telemetry.NewRecorder(64)
 	book := telemetry.NewSpanBook(7, rec)
 	sig := book.OpenPending(4, telemetry.SpanSignal, telemetry.Event{App: "mon"})
-	book.OpenTrace(5, 4, telemetry.Event{From: "cruise", Config: "descent", Attrs: map[string]int64{"seq": 1, "bound": 20}})
+	book.OpenTrace(5, 4, telemetry.Event{From: "cruise", Config: "descent", Attrs: telemetry.Attrs{{Key: "bound", Val: 20}, {Key: "seq", Val: 1}}})
 	book.ClosePending(5, sig, telemetry.Event{})
 	h := book.OpenSpan(6, telemetry.SpanHalt, telemetry.Event{})
 	book.CloseSpan(7, h, telemetry.SpanHalt, telemetry.Event{})
-	book.CloseTrace(9, telemetry.Event{Attrs: map[string]int64{"window": 5, "bound": 20, "margin": 15}})
+	book.CloseTrace(9, telemetry.Event{Attrs: telemetry.Attrs{{Key: "bound", Val: 20}, {Key: "margin", Val: 15}, {Key: "window", Val: 5}}})
 	rec.Record(telemetry.Event{Frame: 2, Kind: telemetry.KindProcHalt, Host: "p9"})
 
 	reg := telemetry.NewRegistry()

@@ -46,12 +46,12 @@ const (
 const maxChainDepth = 8
 
 // SpanBook allocates deterministic span and trace identities and records
-// span events into the flight recorder. One book serves one system; all
-// state is preallocated at construction (the open-trace slot, the chain
-// stack, the ID counters), so steady frames — which open no spans — do no
-// span work at all, and protocol frames allocate only the span events
-// themselves, charged to the reconfiguration window like every other
-// protocol event.
+// span events into the flight recorder. One book serves one system; its
+// state is allocated at construction (the open-trace slot, the chain
+// stack, the ID counters) or reused (the attribute scratch), so steady
+// frames — which open no spans — do no span work at all, and protocol
+// frames pay only for recording the span events, charged to the
+// reconfiguration window like every other protocol event.
 //
 // Identity is deterministic: trace IDs hash the book's seed with the
 // opening signal frame and a per-book trace ordinal, and span IDs are a
@@ -74,6 +74,9 @@ type SpanBook struct {
 	root       int64                // open trace's root span
 	chain      [maxChainDepth]int64 // open chain spans, innermost last
 	chainDepth int
+	// attrs is the scratch each span event's attributes are built in; the
+	// recorder copies what it keeps.
+	attrs Attrs
 }
 
 // NewSpanBook returns a book recording into rec (nil rec yields a book
@@ -134,7 +137,7 @@ func (b *SpanBook) OpenPending(f int64, name string, e Event) int64 {
 	e.Frame = f
 	e.Kind = KindSpanStart
 	e.Phase = name
-	e.Attrs = withSpanAttrs(e.Attrs, 0, id, 0)
+	e.Attrs = b.withSpanAttrs(e.Attrs, 0, id, 0)
 	b.sink.Record(e)
 	return id
 }
@@ -150,7 +153,7 @@ func (b *SpanBook) ClosePending(f int64, id int64, e Event) {
 	trace, parent := b.trace, b.currentParent()
 	e.Frame = f
 	e.Kind = KindSpanEnd
-	e.Attrs = withSpanAttrs(e.Attrs, trace, id, parent)
+	e.Attrs = b.withSpanAttrs(e.Attrs, trace, id, parent)
 	b.sink.Record(e)
 }
 
@@ -172,7 +175,7 @@ func (b *SpanBook) OpenTrace(f, sigFrame int64, e Event) (trace, root int64) {
 	e.Frame = f
 	e.Kind = KindSpanStart
 	e.Phase = SpanReconfig
-	e.Attrs = withSpanAttrs(e.Attrs, trace, root, 0)
+	e.Attrs = b.withSpanAttrs(e.Attrs, trace, root, 0)
 	b.sink.Record(e)
 	return trace, root
 }
@@ -196,13 +199,13 @@ func (b *SpanBook) CloseTrace(f int64, e Event) {
 			Frame: f,
 			Kind:  KindSpanEnd,
 			Phase: SpanChain,
-			Attrs: withSpanAttrs(nil, trace, chains[i], 0),
+			Attrs: b.withSpanAttrs(nil, trace, chains[i], 0),
 		})
 	}
 	e.Frame = f
 	e.Kind = KindSpanEnd
 	e.Phase = SpanReconfig
-	e.Attrs = withSpanAttrs(e.Attrs, trace, root, 0)
+	e.Attrs = b.withSpanAttrs(e.Attrs, trace, root, 0)
 	b.sink.Record(e)
 }
 
@@ -225,7 +228,7 @@ func (b *SpanBook) OpenChain(f int64, e Event) int64 {
 	e.Frame = f
 	e.Kind = KindSpanStart
 	e.Phase = SpanChain
-	e.Attrs = withSpanAttrs(e.Attrs, trace, id, parent)
+	e.Attrs = b.withSpanAttrs(e.Attrs, trace, id, parent)
 	b.sink.Record(e)
 	return id
 }
@@ -241,7 +244,7 @@ func (b *SpanBook) OpenSpan(f int64, name string, e Event) int64 {
 	e.Frame = f
 	e.Kind = KindSpanStart
 	e.Phase = name
-	e.Attrs = withSpanAttrs(e.Attrs, trace, id, parent)
+	e.Attrs = b.withSpanAttrs(e.Attrs, trace, id, parent)
 	b.sink.Record(e)
 	return id
 }
@@ -255,7 +258,7 @@ func (b *SpanBook) CloseSpan(f int64, id int64, name string, e Event) {
 	e.Frame = f
 	e.Kind = KindSpanEnd
 	e.Phase = name
-	e.Attrs = withSpanAttrs(e.Attrs, trace, id, 0)
+	e.Attrs = b.withSpanAttrs(e.Attrs, trace, id, 0)
 	b.sink.Record(e)
 }
 
@@ -276,8 +279,8 @@ func (b *SpanBook) Mark(f int64, name string, e Event) {
 	e.Frame = f
 	e.Kind = KindSpanStart
 	e.Phase = name
-	e.Attrs = withSpanAttrs(e.Attrs, trace, id, parent)
-	e.Attrs[SpanAttrEnd] = f
+	b.attrs = b.withSpanAttrs(e.Attrs, trace, id, parent).With(SpanAttrEnd, f)
+	e.Attrs = b.attrs
 	b.sink.Record(e)
 }
 
@@ -290,19 +293,18 @@ func (b *SpanBook) currentParent() int64 {
 	return b.root
 }
 
-// withSpanAttrs stamps the structural span attributes onto attrs,
-// allocating the map when the caller supplied none. Zero values are
-// omitted: 0 is "no trace" / "no parent".
-func withSpanAttrs(attrs map[string]int64, trace, span, parent int64) map[string]int64 {
-	if attrs == nil {
-		attrs = make(map[string]int64, 4)
-	}
-	attrs[SpanAttrSpan] = span
+// withSpanAttrs returns attrs with the structural span attributes
+// stamped on, built in the book's scratch so the caller's slice is left as
+// it was. Zero values are omitted: 0 is "no trace" / "no parent".
+func (b *SpanBook) withSpanAttrs(attrs Attrs, trace, span, parent int64) Attrs {
+	//lint:allow allocfree amortized: the scratch grows to the largest span event once, then is reused
+	a := append(b.attrs[:0], attrs...).With(SpanAttrSpan, span)
 	if trace != 0 {
-		attrs[SpanAttrTrace] = trace
+		a = a.With(SpanAttrTrace, trace)
 	}
 	if parent != 0 {
-		attrs[SpanAttrParent] = parent
+		a = a.With(SpanAttrParent, parent)
 	}
-	return attrs
+	b.attrs = a
+	return a
 }

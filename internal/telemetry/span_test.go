@@ -62,21 +62,21 @@ func TestSpanBookLifecycleAssembles(t *testing.T) {
 	if sig == 0 {
 		t.Fatalf("pending span not allocated")
 	}
-	trace, root := b.OpenTrace(12, 10, Event{From: "cruise", Config: "descent", Attrs: map[string]int64{"seq": 1, "bound": 40}})
+	trace, root := b.OpenTrace(12, 10, Event{From: "cruise", Config: "descent", Attrs: attrsOf(map[string]int64{"seq": 1, "bound": 40})})
 	if trace == 0 || root == 0 {
 		t.Fatalf("trace not opened")
 	}
 	b.ClosePending(12, sig, Event{})
 	halt := b.OpenSpan(13, SpanHalt, Event{})
 	b.CloseSpan(14, halt, SpanHalt, Event{})
-	b.Mark(14, SpanEpoch, Event{Attrs: map[string]int64{"epoch": 3}})
+	b.Mark(14, SpanEpoch, Event{Attrs: attrsOf(map[string]int64{"epoch": 3})})
 	chain := b.OpenChain(15, Event{Config: "landing"})
 	if chain == 0 {
 		t.Fatalf("chain span not opened")
 	}
 	init := b.OpenSpan(16, SpanInit, Event{})
 	b.CloseSpan(18, init, SpanInit, Event{})
-	b.CloseTrace(18, Event{Attrs: map[string]int64{"window": 7, "bound": 40, "margin": 33}})
+	b.CloseTrace(18, Event{Attrs: attrsOf(map[string]int64{"window": 7, "bound": 40, "margin": 33})})
 
 	traces := AssembleTraces(rec.Events())
 	if len(traces) != 1 {
@@ -103,7 +103,7 @@ func TestSpanBookLifecycleAssembles(t *testing.T) {
 	if s := byName[SpanHalt]; s.Parent != root || s.Frames() != 2 {
 		t.Fatalf("halt span wrong: %+v", s)
 	}
-	if s := byName[SpanEpoch]; s.Parent != root || s.Frames() != 1 || s.Attrs["epoch"] != 3 {
+	if s := byName[SpanEpoch]; s.Parent != root || s.Frames() != 1 || s.Attrs.Value("epoch") != 3 {
 		t.Fatalf("epoch mark wrong: %+v", s)
 	}
 	if s := byName[SpanChain]; s.Parent != root || s.End != 18 {
@@ -112,7 +112,7 @@ func TestSpanBookLifecycleAssembles(t *testing.T) {
 	if s := byName[SpanInit]; s.Parent != byName[SpanChain].ID {
 		t.Fatalf("chained phase does not parent to chain span: %+v", s)
 	}
-	if w := rootSpan.Attrs["window"]; w != 7 {
+	if w := rootSpan.Attrs.Value("window"); w != 7 {
 		t.Fatalf("root close attrs lost: %+v", rootSpan.Attrs)
 	}
 }
@@ -134,8 +134,8 @@ func TestPendingSpanClosesTracelessWithoutTrigger(t *testing.T) {
 func TestMarkOutsideTraceIsStandalone(t *testing.T) {
 	rec := NewRecorder(16)
 	b := NewSpanBook(9, rec)
-	b.Mark(20, SpanEpoch, Event{Attrs: map[string]int64{"epoch": 1}})
-	b.Mark(30, SpanEpoch, Event{Attrs: map[string]int64{"epoch": 2}})
+	b.Mark(20, SpanEpoch, Event{Attrs: attrsOf(map[string]int64{"epoch": 1})})
+	b.Mark(30, SpanEpoch, Event{Attrs: attrsOf(map[string]int64{"epoch": 2})})
 	traces := AssembleTraces(rec.Events())
 	if len(traces) != 2 {
 		t.Fatalf("each standalone mark should open its own trace: %+v", traces)
@@ -177,10 +177,10 @@ func TestAssembleOpenSpansAfterHalt(t *testing.T) {
 func TestBuildTraceReportWaterfall(t *testing.T) {
 	rec := NewRecorder(64)
 	b := NewSpanBook(11, rec)
-	_, root := b.OpenTrace(100, 99, Event{From: "x", Config: "y", Attrs: map[string]int64{"seq": 4, "bound": 30}})
+	_, root := b.OpenTrace(100, 99, Event{From: "x", Config: "y", Attrs: attrsOf(map[string]int64{"seq": 4, "bound": 30})})
 	h := b.OpenSpan(101, SpanHalt, Event{})
 	b.CloseSpan(103, h, SpanHalt, Event{})
-	b.CloseTrace(110, Event{Attrs: map[string]int64{"window": 11, "bound": 30, "margin": 19}})
+	b.CloseTrace(110, Event{Attrs: attrsOf(map[string]int64{"window": 11, "bound": 30, "margin": 19})})
 	tv := AssembleTraces(rec.Events())[0]
 	r := BuildTraceReport(tv)
 	if !r.Complete || r.Start != 100 || r.End != 110 || r.Window != 11 || r.Bound != 30 || r.Margin != 19 {

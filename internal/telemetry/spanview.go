@@ -12,17 +12,17 @@ import (
 // fail-stop halt mid-span, which is precisely the evidence the black box
 // exists to preserve.
 type Span struct {
-	ID     int64            `json:"id"`
-	Parent int64            `json:"parent,omitempty"`
-	Trace  int64            `json:"trace,omitempty"`
-	Name   string           `json:"name"`
-	App    string           `json:"app,omitempty"`
-	Config string           `json:"config,omitempty"`
-	From   string           `json:"from,omitempty"`
-	Detail string           `json:"detail,omitempty"`
-	Start  int64            `json:"start"`
-	End    int64            `json:"end"`
-	Attrs  map[string]int64 `json:"attrs,omitempty"`
+	ID     int64  `json:"id"`
+	Parent int64  `json:"parent,omitempty"`
+	Trace  int64  `json:"trace,omitempty"`
+	Name   string `json:"name"`
+	App    string `json:"app,omitempty"`
+	Config string `json:"config,omitempty"`
+	From   string `json:"from,omitempty"`
+	Detail string `json:"detail,omitempty"`
+	Start  int64  `json:"start"`
+	End    int64  `json:"end"`
+	Attrs  Attrs  `json:"attrs,omitempty"`
 }
 
 // Frames returns the span's inclusive frame count, or -1 while open.
@@ -85,7 +85,7 @@ func AssembleTraces(events []Event) []TraceView {
 		if e.Kind != KindSpanStart && e.Kind != KindSpanEnd {
 			continue
 		}
-		id := e.Attrs[SpanAttrSpan]
+		id := e.Attrs.Value(SpanAttrSpan)
 		if id == 0 {
 			continue
 		}
@@ -95,10 +95,10 @@ func AssembleTraces(events []Event) []TraceView {
 			spans[id] = sp
 			order = append(order, id)
 		}
-		if t := e.Attrs[SpanAttrTrace]; t != 0 {
+		if t := e.Attrs.Value(SpanAttrTrace); t != 0 {
 			sp.Trace = t
 		}
-		if p := e.Attrs[SpanAttrParent]; p != 0 {
+		if p := e.Attrs.Value(SpanAttrParent); p != 0 {
 			sp.Parent = p
 		}
 		if e.Phase != "" {
@@ -116,21 +116,18 @@ func AssembleTraces(events []Event) []TraceView {
 		if e.Detail != "" {
 			sp.Detail = e.Detail
 		}
-		if len(e.Attrs) > 0 && sp.Attrs == nil {
-			sp.Attrs = make(map[string]int64, len(e.Attrs))
-		}
-		// Keyed copy: insertion order cannot shape the result, so ranging
-		// the map directly stays deterministic.
-		for k, v := range e.Attrs {
-			switch k {
+		// Keyed merge: the end event's values win over the start's, and
+		// With keeps the key order whatever order the events come in.
+		for _, a := range e.Attrs {
+			switch a.Key {
 			case SpanAttrSpan, SpanAttrTrace, SpanAttrParent, SpanAttrEnd:
 				continue
 			}
-			sp.Attrs[k] = v
+			sp.Attrs = sp.Attrs.With(a.Key, a.Val)
 		}
 		if e.Kind == KindSpanStart {
 			sp.Start = e.Frame
-			if end, ok := e.Attrs[SpanAttrEnd]; ok {
+			if end, ok := e.Attrs.Get(SpanAttrEnd); ok {
 				sp.End = end
 			}
 		} else {
@@ -180,17 +177,17 @@ func FindTrace(events []Event, id int64) (TraceView, bool) {
 
 // TraceSpanRow is one waterfall row of a trace report.
 type TraceSpanRow struct {
-	Span   int64            `json:"span"`
-	Parent int64            `json:"parent,omitempty"`
-	Name   string           `json:"name"`
-	App    string           `json:"app,omitempty"`
-	Config string           `json:"config,omitempty"`
-	From   string           `json:"from,omitempty"`
-	Start  int64            `json:"start"`
-	End    int64            `json:"end"`
-	Frames int64            `json:"frames"`
-	Attrs  map[string]int64 `json:"attrs,omitempty"`
-	Detail string           `json:"detail,omitempty"`
+	Span   int64  `json:"span"`
+	Parent int64  `json:"parent,omitempty"`
+	Name   string `json:"name"`
+	App    string `json:"app,omitempty"`
+	Config string `json:"config,omitempty"`
+	From   string `json:"from,omitempty"`
+	Start  int64  `json:"start"`
+	End    int64  `json:"end"`
+	Frames int64  `json:"frames"`
+	Attrs  Attrs  `json:"attrs,omitempty"`
+	Detail string `json:"detail,omitempty"`
 }
 
 // TraceReport is the per-reconfiguration waterfall every surface renders:
@@ -228,15 +225,15 @@ func BuildTraceReport(tv TraceView) TraceReport {
 	if root, ok := tv.Root(); ok {
 		r.Start, r.End = root.Start, root.End
 		r.From, r.Config = root.From, root.Config
-		r.Seq = root.Attrs["seq"]
-		r.Bound = root.Attrs["bound"]
+		r.Seq = root.Attrs.Value("seq")
+		r.Bound = root.Attrs.Value("bound")
 		if root.End >= 0 {
 			r.Complete = true
 			r.Window = root.Frames()
-			if w, ok := root.Attrs["window"]; ok {
+			if w, ok := root.Attrs.Get("window"); ok {
 				r.Window = w
 			}
-			if m, ok := root.Attrs["margin"]; ok {
+			if m, ok := root.Attrs.Get("margin"); ok {
 				r.Margin = m
 			} else if r.Bound > 0 {
 				r.Margin = r.Bound - r.Window

@@ -231,7 +231,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	in := []Event{
 		{Seq: 0, Frame: 1, Kind: KindSignal, App: "monitor", Detail: "power"},
 		{Seq: 1, Frame: 2, Kind: KindBudget, Phase: "schedule", Config: "reduced",
-			From: "full", Attrs: map[string]int64{"seq": 1, "bound": 8}},
+			From: "full", Attrs: attrsOf(map[string]int64{"seq": 1, "bound": 8})},
 		{Seq: 2, Frame: 3, Kind: KindFrameState, State: &FrameState{Config: "full", Env: "ok"}},
 	}
 	var buf bytes.Buffer
@@ -245,7 +245,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(out) != len(in) {
 		t.Fatalf("round trip %d events, want %d", len(out), len(in))
 	}
-	if out[1].Attrs["bound"] != 8 || out[1].Phase != "schedule" {
+	if out[1].Attrs.Value("bound") != 8 || out[1].Phase != "schedule" {
 		t.Errorf("round-tripped event = %+v", out[1])
 	}
 	if out[2].State == nil || out[2].State.Config != "full" {
@@ -257,11 +257,11 @@ func TestSummarizeTimeline(t *testing.T) {
 	events := []Event{
 		{Seq: 0, Frame: 2, Kind: KindSignal},
 		{Seq: 1, Frame: 2, Kind: KindBudget, Phase: "schedule", From: "full", Config: "reduced",
-			Attrs: map[string]int64{"seq": 1, "trigger_frame": 2, "halt_start": 3, "halt_end": 3,
-				"prep_start": 4, "prep_end": 4, "init_start": 5, "init_end": 6, "bound": 8}},
+			Attrs: attrsOf(map[string]int64{"seq": 1, "trigger_frame": 2, "halt_start": 3, "halt_end": 3,
+				"prep_start": 4, "prep_end": 4, "init_start": 5, "init_end": 6, "bound": 8})},
 		{Seq: 2, Frame: 6, Kind: KindBudget, Phase: "window", From: "full", Config: "reduced",
-			Attrs: map[string]int64{"seq": 1, "start": 2, "end": 6, "window": 5, "bound": 8, "margin": 3}},
-		{Seq: 3, Frame: 9, Kind: KindStorageRepair, Attrs: map[string]int64{"repaired": 2}},
+			Attrs: attrsOf(map[string]int64{"seq": 1, "start": 2, "end": 6, "window": 5, "bound": 8, "margin": 3})},
+		{Seq: 3, Frame: 9, Kind: KindStorageRepair, Attrs: attrsOf(map[string]int64{"repaired": 2})},
 		{Seq: 4, Frame: 10, Kind: KindProcHalt, Host: "p2"},
 		{Seq: 5, Frame: 11, Kind: KindTakeover, Host: "p3"},
 	}
@@ -287,12 +287,12 @@ func TestSummarizeTimeline(t *testing.T) {
 func TestSummarizeRetargetContinuesWindow(t *testing.T) {
 	events := []Event{
 		{Seq: 0, Frame: 1, Kind: KindBudget, Phase: "schedule", From: "full", Config: "reduced",
-			Attrs: map[string]int64{"seq": 1, "trigger_frame": 1}},
+			Attrs: attrsOf(map[string]int64{"seq": 1, "trigger_frame": 1})},
 		{Seq: 1, Frame: 2, Kind: KindRetarget},
 		{Seq: 2, Frame: 2, Kind: KindBudget, Phase: "schedule", From: "full", Config: "emergency",
-			Attrs: map[string]int64{"seq": 1, "trigger_frame": 1, "retargeted": 1}},
+			Attrs: attrsOf(map[string]int64{"seq": 1, "trigger_frame": 1, "retargeted": 1})},
 		{Seq: 3, Frame: 5, Kind: KindBudget, Phase: "window", From: "full", Config: "emergency",
-			Attrs: map[string]int64{"seq": 1, "start": 1, "end": 5, "window": 5, "retargeted": 1}},
+			Attrs: attrsOf(map[string]int64{"seq": 1, "start": 1, "end": 5, "window": 5, "retargeted": 1})},
 	}
 	s := Summarize(events)
 	if len(s.Reconfigs) != 1 {
@@ -307,7 +307,7 @@ func TestSummarizeRetargetContinuesWindow(t *testing.T) {
 func TestSummarizeOpenWindow(t *testing.T) {
 	events := []Event{
 		{Seq: 0, Frame: 3, Kind: KindBudget, Phase: "schedule", From: "full", Config: "reduced",
-			Attrs: map[string]int64{"seq": 1, "trigger_frame": 3}},
+			Attrs: attrsOf(map[string]int64{"seq": 1, "trigger_frame": 3})},
 	}
 	s := Summarize(events)
 	if len(s.Reconfigs) != 1 || s.Reconfigs[0].Complete() {
@@ -365,5 +365,26 @@ func TestReconstructTrace(t *testing.T) {
 	}
 	if _, _, err := ReconstructTrace("t", time.Millisecond, nil); err == nil {
 		t.Error("ReconstructTrace accepted an empty ring")
+	}
+}
+
+// TestRecordCopiesAttrs pins the attribute ownership contract: Record
+// keeps a copy of the event's attributes, so a producer may rebuild its
+// scratch for the next event, and a kept copy cannot be extended into its
+// neighbour's storage.
+func TestRecordCopiesAttrs(t *testing.T) {
+	rec := NewRecorder(64)
+	var scratch Attrs
+	for i := int64(0); i < 40; i++ {
+		scratch = scratch[:0].With("seq", i).With("end", 2*i)
+		rec.Record(Event{Frame: 1, Kind: KindBudget, Attrs: scratch})
+	}
+	scratch = scratch[:0].With("seq", -1)
+	events := rec.Events()
+	_ = events[0].Attrs.With("zz", 99)
+	for i, e := range events {
+		if len(e.Attrs) != 2 || e.Attrs.Value("seq") != int64(i) || e.Attrs.Value("end") != 2*int64(i) {
+			t.Fatalf("event %d attrs = %v, want seq %d end %d", i, e.Attrs, i, 2*i)
+		}
 	}
 }
