@@ -1,4 +1,5 @@
-// Command campaign fans a fault-injection matrix — arms of fault
+// Command campaign is the one front end for fault campaigns beyond the
+// paper's tables. It fans a fault-injection matrix — arms of fault
 // configurations crossed with seeds — over a bounded worker pool and
 // merges the results into a deterministic aggregate report: the same
 // matrix yields a byte-identical report for any -workers value.
@@ -8,7 +9,9 @@
 //	campaign -preset s1 -runs 25 -frames 300 -workers 8
 //	campaign -preset s2 -json -out report.json
 //	campaign -matrix matrix.json -workers 4
-//	campaign -preset s1 -ring-out ring.jsonl   # export the black-box journal
+//	campaign -matrix cmd/campaign/testdata/chaos-smoke.json -json   # one seeded fleet chaos storm
+//	campaign -preset s1 -ring-out ring.jsonl          # export the black-box journal
+//	campaign -preset s1 -serve 127.0.0.1:8080         # then serve the live telemetry plane
 //
 // A matrix file is the JSON form of campaign.Matrix: seeds, frames, an
 // optional base seed and expansion order, and a list of arms ({"name",
@@ -23,6 +26,15 @@
 // -frames, -seed, -storage-faults, -bus-faults, -churn and -crashes
 // parameterize them.
 //
+// Every run recovers its flight-recorder ring from the SCRAM host's stable
+// storage. -ring-out writes the most interesting one — the last run, in
+// run-ID order, that halted a processor, or failing that the last run with
+// a ring — as a JSONL journal readable by cmd/flightrec. -serve publishes
+// the same run's ring and final metrics over HTTP after the report and ring
+// are written — Prometheus text on /metrics, the journal on
+// /journal?since_frame=N, and the assembled causal traces on /traces and
+// /trace/<id> — until the process is interrupted.
+//
 // Progress lines go to stderr as runs complete (completion order is
 // scheduling-dependent; the report is not). The exit status is nonzero if
 // any run fails, violates an SP property or a membership invariant, or lets
@@ -36,13 +48,19 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
+	"repro/internal/avionics"
 	"repro/internal/bus"
 	"repro/internal/campaign"
 	"repro/internal/cli"
 	"repro/internal/det"
+	"repro/internal/spectest"
 	"repro/internal/stable"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/serve"
 )
 
 func main() {
@@ -165,10 +183,54 @@ func textReport(out io.Writer, rep campaign.Report) {
 	}
 }
 
+// writeRing writes a flight-recorder ring as a JSONL journal.
+func writeRing(path string, ring []telemetry.Event) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := telemetry.WriteJournal(f, ring); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// frameLen is the frame length of the system a run of this kind drives.
+func frameLen(k campaign.Kind) time.Duration {
+	if k == campaign.KindBus {
+		return avionics.FrameLength
+	}
+	return spectest.ThreeConfig().FrameLen
+}
+
+// awaitStop blocks until the serve plane should shut down: an interrupt or
+// SIGTERM. addr is the bound address.
+var awaitStop = func(addr string) {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	<-stop
+}
+
+// serveRun publishes a run's final telemetry — its ring, its metrics
+// snapshot and its system's frame length — as the live telemetry plane
+// until awaitStop returns.
+func serveRun(errOut io.Writer, addr string, res campaign.Result) error {
+	srv := serve.NewRing(res.Ring, res.Metrics, frameLen(res.Run.Kind))
+	bound, err := srv.Start(addr)
+	if err != nil {
+		return err
+	}
+	defer srv.Close()
+	fmt.Fprintf(errOut, "campaign: serving run %d telemetry on http://%s (/metrics /journal /traces /trace/<id>); interrupt to stop\n", res.Run.ID, bound)
+	awaitStop(bound)
+	return nil
+}
+
 func run(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	matrixPath := fs.String("matrix", "", "campaign matrix configuration (JSON); overrides -preset")
-	preset := fs.String("preset", "s1", "built-in matrix: s1 (storage faults), s2 (bus faults) or s3 (membership churn)")
+	preset := fs.String("preset", "s1", "built-in matrix: s1 (storage faults), s2 (bus faults), s3 (membership churn) or s4 (fleet chaos storms)")
 	runs := fs.Int("runs", 5, "seeds per arm")
 	seed := fs.Int64("seed", 0, "base seed; run i of an arm uses seed+i")
 	frames := fs.Int("frames", 300, "frames per run")
@@ -176,6 +238,7 @@ func run(args []string, out, errOut io.Writer) error {
 	asJSON := fs.Bool("json", false, "emit the full aggregate report as JSON instead of the table")
 	outPath := fs.String("out", "", "write the report to this file instead of stdout")
 	ringOut := fs.String("ring-out", "", "write the most interesting run's flight-recorder journal (JSONL) to this file")
+	serveAddr := fs.String("serve", "", "after the report, serve the telemetry of the run -ring-out exports (/metrics, /journal, /traces, /trace/<id>) on this address until interrupted")
 	quiet := fs.Bool("quiet", false, "suppress per-run progress lines on stderr")
 	storageFaults := fs.Float64("storage-faults", 0.05, "s1 preset base per-medium fault rate (torn writes and stuck reads at half, bit rot at full)")
 	busFaults := fs.Float64("bus-faults", 0.05, "s2 preset base per-message fault rate (drop at full, duplicate and delay at half)")
@@ -224,23 +287,22 @@ func run(args []string, out, errOut io.Writer) error {
 		return err
 	}
 
-	if *ringOut != "" {
-		ring := rep.LastRing()
-		if ring == nil {
-			return errors.New("-ring-out: no flight-recorder ring recovered")
+	if *ringOut != "" || *serveAddr != "" {
+		res, ok := rep.RingRun()
+		if !ok {
+			return errors.New("-ring-out/-serve: no flight-recorder ring recovered")
 		}
-		f, err := os.Create(*ringOut)
-		if err != nil {
-			return err
+		if *ringOut != "" {
+			if err := writeRing(*ringOut, res.Ring); err != nil {
+				return err
+			}
+			fmt.Fprintf(errOut, "campaign: wrote %d flight-recorder events to %s\n", len(res.Ring), *ringOut)
 		}
-		if err := telemetry.WriteJournal(f, ring); err != nil {
-			f.Close()
-			return err
+		if *serveAddr != "" {
+			if err := serveRun(errOut, *serveAddr, res); err != nil {
+				return err
+			}
 		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(errOut, "campaign: wrote %d flight-recorder events to %s\n", len(ring), *ringOut)
 	}
 
 	if err := rep.FirstError(); err != nil {

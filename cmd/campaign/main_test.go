@@ -3,10 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/avionics"
+	"repro/internal/campaign"
+	"repro/internal/spectest"
 )
 
 // TestPresetText runs the s1 preset small and checks the table and the
@@ -121,5 +130,91 @@ func TestDeprecatedSeedsAlias(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "2 runs (1 seeds") {
 		t.Errorf("alias not applied:\n%s", out.String())
+	}
+}
+
+// TestChaosSmokeMatrix loads the committed chaos-storm matrix the CI smoke
+// runs, validates it, and pins its shape: one seed-7 storm of 8 tenants
+// over 120 frames, with 2 crashes, 2 tenant panics and 3 torn writes per
+// crash. internal/campaign's TestChaosRun runs storms of this kind.
+func TestChaosSmokeMatrix(t *testing.T) {
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+	m, err := loadMatrix(fs, "testdata/chaos-smoke.json", "", 0, 0, 0, 0, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if m.BaseSeed != 7 || m.Seeds != 1 || m.Frames != 120 || len(m.Arms) != 1 {
+		t.Fatalf("matrix = seed %d x %d seeds, %d frames, %d arms; want seed 7 x 1, 120 frames, 1 arm",
+			m.BaseSeed, m.Seeds, m.Frames, len(m.Arms))
+	}
+	a := m.Arms[0]
+	if a.Kind != campaign.KindChaos || a.FleetTenants != 8 || a.Crashes != 2 || a.TenantPanics != 2 || a.TornWrites != 3 {
+		t.Fatalf("arm = %+v, want a chaos storm of 8 tenants, 2 crashes, 2 panics, 3 torn writes", a)
+	}
+}
+
+// TestServeExportedRun pins -serve: it publishes the run -ring-out
+// exports, byte for byte on /journal, with that run's metrics on /metrics
+// and its system's frame length in the virtual-time header.
+func TestServeExportedRun(t *testing.T) {
+	tests := []struct {
+		preset   string
+		frameLen time.Duration
+	}{
+		{"s1", spectest.ThreeConfig().FrameLen},
+		{"s2", avionics.FrameLength},
+	}
+	for _, tt := range tests {
+		t.Run(tt.preset, func(t *testing.T) {
+			ringPath := filepath.Join(t.TempDir(), "ring.jsonl")
+			get := func(url string) []byte {
+				t.Helper()
+				resp, err := http.Get(url)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("GET %s: %d %v", url, resp.StatusCode, err)
+				}
+				return body
+			}
+			served := false
+			defer func(orig func(string)) { awaitStop = orig }(awaitStop)
+			awaitStop = func(addr string) {
+				served = true
+				ring, err := os.ReadFile(ringPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if journal := get("http://" + addr + "/journal"); !bytes.Equal(journal, ring) {
+					t.Errorf("/journal differs from the -ring-out journal (%d vs %d bytes)", len(journal), len(ring))
+				}
+				var frame, vtMillis int64
+				metrics := get("http://" + addr + "/metrics")
+				if _, err := fmt.Sscanf(string(metrics), "# frame %d virtual_time_ms %d", &frame, &vtMillis); err != nil {
+					t.Fatalf("metrics header: %v\n%s", err, metrics)
+				}
+				if want := (time.Duration(frame) * tt.frameLen).Milliseconds(); frame == 0 || vtMillis != want {
+					t.Errorf("frame %d virtual_time_ms %d, want frame > 0 and %d", frame, vtMillis, want)
+				}
+				if !strings.Contains(string(metrics), "scram_") {
+					t.Errorf("served metrics carry no registry series:\n%s", metrics)
+				}
+			}
+			var out, errOut bytes.Buffer
+			err := run([]string{"-preset", tt.preset, "-runs", "1", "-frames", "120", "-quiet",
+				"-ring-out", ringPath, "-serve", "127.0.0.1:0"}, &out, &errOut)
+			if err != nil {
+				t.Fatalf("run: %v\n%s", err, errOut.String())
+			}
+			if !served {
+				t.Fatal("-serve did not serve")
+			}
+		})
 	}
 }

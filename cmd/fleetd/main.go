@@ -15,7 +15,6 @@
 //	fleetd -addr 127.0.0.1:8080                 # serve until SIGINT/SIGTERM
 //	fleetd -data /var/lib/fleetd                # durable: recover on boot
 //	fleetd -loadgen -tenants 200 -frames 400 -out BENCH_fleet.json
-//	fleetd -chaos -tenants 8 -crashes 2 -seed 7 # seeded crash storm
 //
 // With -data, the host journals a fleet manifest — every SpawnSpec, every
 // acked injection, every kill, periodic per-tenant checkpoints — to
@@ -35,10 +34,10 @@
 // Adding -durabench appends durability rows: host recovery time, and
 // steady-state memory per tenant at a deep frame with retention on vs off.
 //
-// With -chaos, fleetd runs a seeded fleet/chaos storm in-process — host
-// crash-restart cycles, tenant panics, storage faults, torn manifest
-// writes — and exits non-zero unless every tenant passes the
-// restart-equivalence check.
+// Seeded in-process chaos storms — host crash-restart cycles, tenant
+// panics, storage faults, torn manifest writes, every tenant checked for
+// restart equivalence — are campaign arms: run them with cmd/campaign
+// (-preset s4, or a matrix such as cmd/campaign/testdata/chaos-smoke.json).
 package main
 
 import (
@@ -63,7 +62,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/envmon"
 	"repro/internal/fleet"
-	"repro/internal/fleet/chaos"
 	"repro/internal/stable"
 )
 
@@ -83,42 +81,24 @@ func run(args []string, out io.Writer) error {
 	retain := fs.Int64("retain-frames", 0, "default journal/trace retention horizon in frames for spawned tenants (0 = unbounded)")
 	ckptEvery := fs.Int64("checkpoint-every", 0, "per-tenant checkpoint cadence in frames (default 64)")
 	loadgen := fs.Bool("loadgen", false, "run the traffic generator against a self-hosted fleet and report density and control-plane latency")
-	chaosMode := fs.Bool("chaos", false, "run a seeded chaos storm (crash-restart cycles, tenant panics, torn manifest writes) and verify restart equivalence")
 	durabench := fs.Bool("durabench", false, "with -loadgen: append recovery-time and memory-per-tenant durability rows to the report")
-	tenants := fs.Int("tenants", 200, "loadgen/chaos: tenants to spawn")
-	frames := fs.Int64("frames", 400, "loadgen/chaos: frame budget per tenant")
+	tenants := fs.Int("tenants", 200, "loadgen: tenants to spawn")
+	frames := fs.Int64("frames", 400, "loadgen: frame budget per tenant")
 	workers := fs.Int("workers", 8, "loadgen: concurrent control-plane clients")
-	seed := fs.Int64("seed", 1, "chaos: storm seed (same seed, same storm)")
-	crashes := fs.Int("crashes", 2, "chaos: host crash-restart cycles")
-	panics := fs.Int("panics", 2, "chaos: tenant panic injections")
-	torn := fs.Int("torn-writes", 3, "chaos: manifest records torn on one replica per crash")
-	outPath := fs.String("out", "", "loadgen/chaos: write the JSON report here (default stdout)")
+	outPath := fs.String("out", "", "loadgen: write the JSON report here (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	cfg := fleet.Config{Shards: *shards, Batch: *batch, RetainFrames: *retain, CheckpointEvery: *ckptEvery}
-	switch {
-	case *chaosMode:
-		return runChaos(out, chaos.Plan{
-			Seed:          *seed,
-			Tenants:       *tenants,
-			Frames:        *frames,
-			Crashes:       *crashes,
-			Panics:        *panics,
-			StorageFaults: *panics,
-			TornWrites:    *torn,
-			RetainFrames:  *retain,
-		}, *outPath)
-	case *loadgen:
+	if *loadgen {
 		bindAddr := *addr
 		if fs.Lookup("addr").Value.String() == fs.Lookup("addr").DefValue {
 			bindAddr = "127.0.0.1:0" // don't collide with a serving fleetd
 		}
 		return runLoadgen(out, cfg, bindAddr, *tenants, *frames, *workers, *durabench, *outPath)
-	default:
-		return serveFleet(out, cfg, *addr, *dataDir)
 	}
+	return serveFleet(out, cfg, *addr, *dataDir)
 }
 
 // mountManifest opens (or initializes) the durable manifest store: two file
@@ -191,32 +171,6 @@ func serveFleet(out io.Writer, cfg fleet.Config, addr, dataDir string) error {
 		}
 		return srv.Close()
 	}
-}
-
-// runChaos executes a seeded storm and reports its outcome; a dirty storm
-// (any mismatch, any unchecked tenant) is a non-zero exit.
-func runChaos(out io.Writer, plan chaos.Plan, outPath string) error {
-	fmt.Fprintf(out, "fleetd chaos: seed %d, %d tenants x %d frames, %d crashes\n",
-		plan.Seed, plan.Tenants, plan.Frames, plan.Crashes)
-	o := chaos.Run(plan)
-	w, closeOut, err := cli.Output(outPath, out)
-	if err != nil {
-		return err
-	}
-	if err := cli.WriteJSON(w, o); err != nil {
-		closeOut()
-		return err
-	}
-	if err := closeOut(); err != nil {
-		return err
-	}
-	if !o.Ok() {
-		return fmt.Errorf("chaos storm failed: %d mismatches, %d errors, %d/%d checked",
-			len(o.Mismatches), len(o.Errors), o.Checked, o.Tenants)
-	}
-	fmt.Fprintf(out, "fleetd chaos: clean — %d tenants checked, %d crashes, %d injections, %d torn writes healed\n",
-		o.Checked, o.Crashes, o.Injected, o.TornWrites)
-	return nil
 }
 
 // benchReport is the BENCH_fleet.json shape. SystemsPerCore is the density

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/stable"
+	"repro/internal/telemetry"
 )
 
 // testProfile is a fault load heavy enough to exercise repair and (on the
@@ -151,7 +152,7 @@ func TestReportCapture(t *testing.T) {
 			t.Errorf("run %d recovered no ring without a halt", res.Run.ID)
 		}
 	}
-	if rep.LastRing() == nil {
+	if _, ok := rep.RingRun(); !ok {
 		t.Error("no exportable ring")
 	}
 	if tot.Reconfigs > 0 {
@@ -173,6 +174,50 @@ func TestReportCapture(t *testing.T) {
 					i, s.Trace.Window, rep.SlowestTraces[i-1].Trace.Window)
 			}
 		}
+	}
+}
+
+// TestRingRun pins the export selector: the last halted run with a ring in
+// run-ID order, or failing that the last run with a ring at all.
+func TestRingRun(t *testing.T) {
+	ring := []telemetry.Event{{Kind: telemetry.KindSignal}}
+	type run struct {
+		arm   string
+		ring  bool
+		halts int
+	}
+	tests := []struct {
+		name string
+		runs []run
+		want int // run ID, or -1 for none
+	}{
+		{"no halts", []run{{"x0", true, 0}, {"x1", true, 0}, {"x2", false, 0}}, 1},
+		{"one halted run", []run{{"defeat", true, 0}, {"defeat", true, 1}, {"defeat", true, 0}}, 1},
+		{"halts in two arms", []run{
+			{"shielded", true, 1}, {"defeat", true, 2}, {"shielded", true, 0}, {"defeat", false, 1},
+		}, 1},
+		{"no ring", []run{{"x0", false, 0}, {"x1", false, 1}}, -1},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var rep Report
+			for i, r := range tt.runs {
+				res := Result{Run: Run{ID: i, Arm: r.arm}, StorageHalts: r.halts}
+				if r.ring {
+					res.Ring = ring
+				}
+				rep.Results = append(rep.Results, res)
+			}
+			got, ok := rep.RingRun()
+			switch {
+			case tt.want < 0 && ok:
+				t.Fatalf("picked run %d, want none", got.Run.ID)
+			case tt.want >= 0 && !ok:
+				t.Fatalf("picked none, want run %d", tt.want)
+			case ok && got.Run.ID != tt.want:
+				t.Fatalf("picked run %d (%s), want run %d", got.Run.ID, got.Run.Arm, tt.want)
+			}
+		})
 	}
 }
 

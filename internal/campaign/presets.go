@@ -12,10 +12,10 @@ import (
 // three replicas at the base fault rates, and a "defeat" arm stripped to
 // one replica with bit rot multiplied until it beats the redundancy and
 // forces fail-stop conversions. Seed-major order pairs the two arms under
-// identical seeds, the layout the faultsim s1 table prints.
+// identical seeds.
 func S1Matrix(seeds, frames int, faults stable.FaultProfile) Matrix {
 	defeat := faults
-	defeat.BitRotRate = minFloat(1, faults.BitRotRate*8)
+	defeat.BitRotRate = min(1, faults.BitRotRate*8)
 	return Matrix{
 		Name:   "s1-storage-faults",
 		Seeds:  seeds,
@@ -30,8 +30,7 @@ func S1Matrix(seeds, frames int, faults stable.FaultProfile) Matrix {
 
 // S2Matrix is the S2 experiment as a campaign matrix: the avionics mission
 // over a degraded bus, sweeping the base rates through multipliers 0-3.
-// Arm-major order groups rows by sweep point, the layout the faultsim s2
-// table prints.
+// Arm-major order groups rows by sweep point.
 func S2Matrix(seeds, frames int, rates bus.FaultRates) Matrix {
 	m := Matrix{
 		Name:   "s2-bus-faults",
@@ -44,9 +43,9 @@ func S2Matrix(seeds, frames int, rates bus.FaultRates) Matrix {
 			Name: fmt.Sprintf("x%.0f", mult),
 			Kind: KindBus,
 			Rates: bus.FaultRates{
-				Drop:      minFloat(1, rates.Drop*mult),
-				Duplicate: minFloat(1, rates.Duplicate*mult),
-				Delay:     minFloat(1, rates.Delay*mult),
+				Drop:      min(1, rates.Drop*mult),
+				Duplicate: min(1, rates.Duplicate*mult),
+				Delay:     min(1, rates.Delay*mult),
 			},
 		})
 	}
@@ -95,11 +94,4 @@ func S4Matrix(seeds, frames, crashes int) Matrix {
 			{Name: "retention", Kind: KindChaos, FleetTenants: 4, Crashes: crashes, TenantPanics: 1, TornWrites: 3, RetainFrames: 48},
 		},
 	}
-}
-
-func minFloat(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -272,18 +272,28 @@ func (r Report) FirstError() error {
 	return nil
 }
 
-// LastRing picks the journal worth exporting: the last ring from a run
-// that halted a processor, or failing that the last non-empty ring, in
-// run-ID order. Deterministic for the same results.
-func (r Report) LastRing() []telemetry.Event {
-	var ring []telemetry.Event
-	for _, res := range r.Results {
-		if len(res.Ring) == 0 {
+// RingRun picks the run whose flight-recorder journal is worth exporting:
+// the last run, in run-ID order, that halted a processor, or failing that
+// the last run with a non-empty ring. The whole Result travels together, so
+// a caller exporting the ring also has the same run's kind and final
+// metrics. ok is false when no run recovered a ring. Deterministic for the
+// same results.
+func (r Report) RingRun() (res Result, ok bool) {
+	last, halted := -1, -1
+	for i, run := range r.Results {
+		if len(run.Ring) == 0 {
 			continue
 		}
-		if ring == nil || res.StorageHalts > 0 {
-			ring = res.Ring
+		last = i
+		if run.StorageHalts > 0 {
+			halted = i
 		}
 	}
-	return ring
+	switch {
+	case halted >= 0:
+		return r.Results[halted], true
+	case last >= 0:
+		return r.Results[last], true
+	}
+	return Result{}, false
 }

@@ -476,11 +476,12 @@ type Config struct {
 	// RetainFrames is the retention horizon inherited by tenants whose spec
 	// leaves RetainFrames zero. See SpawnSpec.RetainFrames.
 	RetainFrames int64
-	// QuarantineCache caps how many quarantined tenants keep their
-	// post-mortem snapshot cached in memory (default 64). Evicted
-	// snapshots are re-recovered from committed stable storage on demand.
-	QuarantineCache int
 }
+
+// quarantineCache caps how many quarantined tenants keep their post-mortem
+// snapshot cached in memory. Evicted snapshots are re-recovered from
+// committed stable storage on demand.
+const quarantineCache = 64
 
 // dedupeEntry is one idempotency-cache slot: duplicates of an in-flight
 // request wait on done, then replay the recorded outcome.
@@ -548,9 +549,6 @@ func newHostNoLoop(cfg Config) *Host {
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 64
-	}
-	if cfg.QuarantineCache <= 0 {
-		cfg.QuarantineCache = 64
 	}
 	return &Host{
 		cfg:     cfg,
@@ -829,7 +827,7 @@ func (h *Host) noteQuarantine(t *Tenant) {
 	}
 	h.qlru = append(h.qlru, t)
 	var evict []*Tenant
-	for len(h.qlru) > h.cfg.QuarantineCache {
+	for len(h.qlru) > quarantineCache {
 		evict = append(evict, h.qlru[0])
 		h.qlru = h.qlru[1:]
 	}

@@ -509,21 +509,13 @@ func RecoverRing(snap map[string][]byte) ([]Event, error) {
 	sort.Strings(keys)
 	events := make([]Event, 0, len(keys))
 	for _, k := range keys {
-		raw := snap[k]
-		if len(raw) > 0 && raw[0] == '[' {
-			// A chunk record: all events one Persist call staged together.
-			var chunk []Event
-			if err := json.Unmarshal(raw, &chunk); err != nil {
-				return nil, fmt.Errorf("telemetry: decoding recovered event chunk %q: %w", k, err)
-			}
-			events = append(events, chunk...)
-			continue
+		// Every record is a chunk: the events one Persist call staged
+		// together, as a JSON array.
+		var chunk []Event
+		if err := json.Unmarshal(snap[k], &chunk); err != nil {
+			return nil, fmt.Errorf("telemetry: decoding recovered event chunk %q: %w", k, err)
 		}
-		var e Event
-		if err := json.Unmarshal(raw, &e); err != nil {
-			return nil, fmt.Errorf("telemetry: decoding recovered event %q: %w", k, err)
-		}
-		events = append(events, e)
+		events = append(events, chunk...)
 	}
 	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
 	return events, nil

@@ -197,6 +197,13 @@ func TestRingPersistRecoverIncremental(t *testing.T) {
 	if evs[0].Kind != KindTrigger || evs[5].Kind != KindTrigger {
 		t.Errorf("recovered kinds = %v...%v", evs[0].Kind, evs[5].Kind)
 	}
+
+	// Persist writes only chunk records: a lone event object under the
+	// event prefix is not a format recovery reads, so it fails to decode.
+	kv[eventKeyPrefix+"0000000000000009"] = []byte(`{"seq":9,"frame":9,"kind":"trigger"}`)
+	if _, err := RecoverRing(map[string][]byte(kv)); err == nil {
+		t.Fatal("non-array event record recovered without error")
+	}
 }
 
 func TestResetPersistenceRewritesRing(t *testing.T) {
