@@ -8,7 +8,7 @@
 // frame (bounded by their slot's capacity), and the bus delivers all staged
 // messages to subscriber inboxes at the frame boundary, in slot order. The
 // paper assumes the bus itself is ultra-dependable, so no loss or
-// reordering occurs by default; a fault hook exists for robustness
+// reordering occurs by default; a seeded fault plan exists for robustness
 // experiments beyond the paper's assumptions.
 package bus
 
@@ -206,21 +206,6 @@ func (b *Bus) Endpoint(id EndpointID) (*Endpoint, error) {
 // plan exists only for experiments beyond the paper's fault model. Passing
 // nil removes the plan.
 func (b *Bus) SetFaultPlan(plan *FaultPlan) {
-	b.fault = plan
-}
-
-// SetFaultHook installs a hook consulted once per staged message at delivery
-// time; returning true drops the message. Passing nil removes the hook.
-//
-// Deprecated: SetFaultHook only models message loss. Use SetFaultPlan, which
-// adds seeded drop/duplicate/delay rates with per-topic overrides.
-func (b *Bus) SetFaultHook(hook func(Message) bool) {
-	if hook == nil {
-		b.fault = nil
-		return
-	}
-	plan := NewFaultPlan(0)
-	plan.hook = hook
 	b.fault = plan
 }
 

@@ -212,12 +212,14 @@ func TestPayloadCopied(t *testing.T) {
 	}
 }
 
-// TestFaultHookDrops covers the deprecated boolean-hook wrapper, which now
-// routes through a FaultPlan.
+// TestFaultHookDrops checks that a plan dropping one topic counts the drop on
+// the bus, and that a nil plan removes fault injection and restores delivery.
 func TestFaultHookDrops(t *testing.T) {
 	b, a, bb := twoEndpointBus(t)
 	bb.Subscribe("t")
-	b.SetFaultHook(func(m Message) bool { return m.Topic == "t" })
+	plan := NewFaultPlan(7)
+	plan.SetTopic("t", FaultRates{Drop: 1})
+	b.SetFaultPlan(plan)
 	if err := a.Publish("t", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -225,17 +227,16 @@ func TestFaultHookDrops(t *testing.T) {
 	if msgs := bb.Receive(); len(msgs) != 0 {
 		t.Errorf("dropped message delivered")
 	}
-	_, dropped := b.Stats()
-	if dropped != 1 {
+	if _, dropped := b.Stats(); dropped != 1 {
 		t.Errorf("dropped = %d, want 1", dropped)
 	}
-	b.SetFaultHook(nil)
+	b.SetFaultPlan(nil)
 	if err := a.Publish("t", nil); err != nil {
 		t.Fatal(err)
 	}
 	b.DeliverFrame(1)
 	if msgs := bb.Receive(); len(msgs) != 1 {
-		t.Errorf("message dropped after hook removed")
+		t.Errorf("delivered %d messages after the plan was removed, want 1", len(msgs))
 	}
 }
 

@@ -25,8 +25,7 @@ func (r FaultRates) Zero() bool {
 
 // FaultStats counts the faults a FaultPlan injected.
 type FaultStats struct {
-	// Dropped counts messages lost (including those dropped by a legacy
-	// boolean fault hook).
+	// Dropped counts messages lost.
 	Dropped int64 `json:"dropped"`
 	// Duplicated counts messages delivered twice.
 	Duplicated int64 `json:"duplicated"`
@@ -52,7 +51,6 @@ type FaultPlan struct {
 	rng      *rand.Rand
 	def      FaultRates
 	perTopic map[string]FaultRates
-	hook     func(Message) bool // legacy boolean hook; true means drop
 	stats    FaultStats
 }
 
@@ -79,13 +77,8 @@ func (p *FaultPlan) Stats() FaultStats {
 	return p.stats
 }
 
-// decide draws the fate of one message. A legacy hook, if present, is
-// consulted first and can only drop.
+// decide draws the fate of one message.
 func (p *FaultPlan) decide(msg Message) faultAction {
-	if p.hook != nil && p.hook(msg) {
-		p.stats.Dropped++
-		return actDrop
-	}
 	rates, ok := p.perTopic[msg.Topic]
 	if !ok {
 		rates = p.def

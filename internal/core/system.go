@@ -545,7 +545,7 @@ func NewSystem(opts Options) (*System, error) {
 	s.sched.AddCommitHook(s.injectHook)  // stage next frame's env changes and repairs
 	s.sched.AddCommitHook(s.script.Hook) // scripted env events for the next frame
 	if s.telSink.Enabled() {
-		s.sched.AddCommitHook(s.telemetryHook) // sample tr(cycle) into the ring; stage ring + metrics
+		s.sched.AddCommitHook(s.telemetryHook) // sample tr(cycle) into the ring; stage the ring delta
 		s.sched.SetObserver(newTelObserver(s.telReg, s.telRec))
 	}
 
@@ -891,22 +891,14 @@ func (s *System) recordHook(ctx frame.Context) error {
 	return nil
 }
 
-// metricsPersistEvery is the frame cadence of metrics-snapshot staging. The
-// flight-recorder ring is the authoritative black box and is staged every
-// frame it changes; the metrics snapshot is a convenience export, so staging
-// it every frame would spend a full JSON marshal per frame for freshness
-// nobody reads. After a halt the recovered snapshot may trail the ring by up
-// to this many frames.
-const metricsPersistEvery = 512
-
 // telemetryHook is the last built-in hook: it samples the frame's recorded
-// system state into the flight-recorder ring and stages the ring delta
-// (plus, periodically, a metrics snapshot) onto the SCRAM host's stable
-// storage. Samples are run-length-encoded — recorded only when the state
-// differs from the previous frame's — and because the hook runs after
-// commitHook, frame k's staging commits with frame k+1: the recovered black
-// box trails the live system by at most one frame, exactly matching the
-// fail-stop model (writes staged in the halt frame die with the halt).
+// system state into the flight-recorder ring and stages the ring delta onto
+// the SCRAM host's stable storage. Samples are run-length-encoded —
+// recorded only when the state differs from the previous frame's — and
+// because the hook runs after commitHook, frame k's staging commits with
+// frame k+1: the recovered black box trails the live system by at most one
+// frame, exactly matching the fail-stop model (writes staged in the halt
+// frame die with the halt).
 func (s *System) telemetryHook(ctx frame.Context) error {
 	s.telFrame = ctx.Frame
 	if n := len(s.tr.States); n > 0 {
@@ -927,26 +919,18 @@ func (s *System) telemetryHook(ctx frame.Context) error {
 			}
 		}
 	}
-	persistMetrics := ctx.Frame%metricsPersistEvery == metricsPersistEvery-1
-	return s.persistTelemetry(persistMetrics)
+	return s.persistTelemetry()
 }
 
-// persistTelemetry stages the ring delta (and, when asked, the metrics
-// snapshot) onto the active SCRAM host's stable storage. Skipped while no
-// SCRAM host is alive: with the kernel gone there is nowhere dependable to
-// write, and the last committed journal already records everything up to
-// the halt.
-func (s *System) persistTelemetry(metrics bool) error {
+// persistTelemetry stages the ring delta onto the active SCRAM host's
+// stable storage. Skipped while no SCRAM host is alive: with the kernel gone
+// there is nowhere dependable to write, and the last committed journal
+// already records everything up to the halt.
+func (s *System) persistTelemetry() error {
 	if !s.telSink.Enabled() || !s.manager.activeProc.Alive() {
 		return nil
 	}
-	store := s.manager.store()
-	if metrics {
-		if err := s.telReg.Persist(store); err != nil {
-			return err
-		}
-	}
-	return s.telSink.Persist(store)
+	return s.telSink.Persist(s.manager.store())
 }
 
 // FlushTelemetry persists any un-staged telemetry and commits the SCRAM
@@ -969,7 +953,7 @@ func (s *System) FlushTelemetry() error {
 		})
 		s.lastFSFrame = s.telFrame
 	}
-	if err := s.persistTelemetry(true); err != nil {
+	if err := s.persistTelemetry(); err != nil {
 		return err
 	}
 	s.manager.store().Commit()

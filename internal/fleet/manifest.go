@@ -242,10 +242,18 @@ type tenantManifest struct {
 // unrecoverable records. It returns the per-tenant recipes plus the ids of
 // tenants whose spawn record is lost entirely (nothing to respawn from —
 // reported, then dropped).
+//
+// The store is scrubbed first: a record a crash tore on one replica is
+// rewritten from the other, so a later crash that tears the same record on
+// the other replica cannot lose it on both. Keys the scrub finds lost on
+// every replica are the ones the read below converges past.
 func loadManifest(st *stable.Store) (map[string]*tenantManifest, []string, error) {
 	rep := st.Hardened()
 	if rep == nil {
 		return nil, nil, errors.New("fleet: manifest store is not hardened")
+	}
+	if _, err := rep.Scrub(nil); err != nil && !errors.Is(err, stable.ErrUnrecoverable) {
+		return nil, nil, fmt.Errorf("fleet: scrubbing manifest: %w", err)
 	}
 	snap, err := rep.SnapshotPrefix(manifestPrefix)
 	var lost []string

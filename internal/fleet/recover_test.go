@@ -8,6 +8,7 @@ package fleet
 
 import (
 	"bytes"
+	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
 	"strconv"
@@ -251,6 +252,54 @@ func TestRecoverConvergesPastDamage(t *testing.T) {
 		st, _ := h2.Get("ok")
 		return st.Status().State == StateCompleted
 	})
+}
+
+// TestRecoverHealsTornManifest: a crash can tear a manifest record on one
+// replica, and recovery must heal it from the other — else a second crash
+// that tears the same record on the other replica loses it on both, and its
+// tenant is dropped. Each seed tears one tenant's spawn record on r0 after
+// the first crash and on r1 after the second, cut short or bit-flipped as
+// the chaos storm tears, and both tenants must survive both recoveries.
+func TestRecoverHealsTornManifest(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		dir := t.TempDir()
+		rng := rand.New(rand.NewSource(seed))
+		h := NewHost(durableConfig(mountFileManifest(t, dir)))
+		for _, id := range []string{"calm", "torn"} {
+			if _, err := h.Spawn(SpawnSpec{ID: id, Preset: "threeconfig", Seed: seed, Frames: 40}); err != nil {
+				t.Fatalf("spawn %s: %v", id, err)
+			}
+		}
+		h.Close()
+		for crash, rep := range []string{"r0", "r1"} {
+			m, err := stable.NewFileMedium(filepath.Join(dir, rep))
+			if err != nil {
+				t.Fatalf("reopen medium: %v", err)
+			}
+			view, ok := m.Read(spawnKey("torn"))
+			if !ok {
+				t.Fatalf("seed %d: no spawn record on %s", seed, rep)
+			}
+			raw := bytes.Clone(view)
+			if rng.Intn(2) == 0 {
+				raw = raw[:rng.Intn(len(raw))]
+			} else {
+				raw[rng.Intn(len(raw))] ^= 0x40
+			}
+			if err := m.Write(spawnKey("torn"), raw); err != nil {
+				t.Fatalf("tear: %v", err)
+			}
+			h2, rec, err := Recover(durableConfig(mountFileManifest(t, dir)))
+			if err != nil {
+				t.Fatalf("seed %d crash %d: Recover: %v", seed, crash, err)
+			}
+			h2.Close() // hard stop again
+			if rec.Tenants != 2 || len(rec.Dropped) != 0 || len(rec.Quarantined) != 0 {
+				t.Fatalf("seed %d crash %d: recovered %d tenants, dropped %v, quarantined %v; want 2, none, none",
+					seed, crash, rec.Tenants, rec.Dropped, rec.Quarantined)
+			}
+		}
+	}
 }
 
 // TestRecoverReproducesQuarantine: a tenant that panicked pre-crash is

@@ -146,7 +146,7 @@ func (c CanonicalCampaign) Run() (Metrics, *trace.Trace, error) {
 
 	opts := core.Options{
 		Spec:           rs,
-		Apps:           basicApps(rs),
+		Apps:           core.BasicApps(rs),
 		Classifier:     preset.Classifier,
 		InitialFactors: preset.Factors(),
 		Script:         script,
@@ -200,23 +200,12 @@ func (c RandomCampaign) Run() (Metrics, *trace.Trace, error) {
 	}
 	opts := core.Options{
 		Spec:           rs,
-		Apps:           basicApps(rs),
+		Apps:           core.BasicApps(rs),
 		Classifier:     func(f map[envmon.Factor]string) spec.EnvState { return spec.EnvState(f[envFactor]) },
 		InitialFactors: map[envmon.Factor]string{envFactor: string(rs.StartEnv)},
 		Script:         script,
 	}
 	return runCampaign(opts, c.Frames, int64(rs.DwellFrames))
-}
-
-// threeConfigClassifier is the canonical classifier, now owned by the preset
-// registry (spectest.ThreeConfigClassifier).
-func threeConfigClassifier(f map[envmon.Factor]string) spec.EnvState {
-	return spectest.ThreeConfigClassifier(f)
-}
-
-// basicApps builds a reference implementation for every real application.
-func basicApps(rs *spec.ReconfigSpec) map[spec.AppID]core.App {
-	return core.BasicApps(rs)
 }
 
 // mustPreset resolves a registry preset that is known to exist; the registry
@@ -241,13 +230,6 @@ func runCampaign(opts core.Options, frames int, dwell int64) (Metrics, *trace.Tr
 	}
 	tr := sys.Trace()
 	return Collect(tr, opts.Spec, dwell+2), tr, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ExhaustiveResult summarizes a bounded-exhaustive verification run.
@@ -289,7 +271,7 @@ func Exhaustive(rs *spec.ReconfigSpec, changes, spacing int) (ExhaustiveResult, 
 			}
 			opts := core.Options{
 				Spec:           rs,
-				Apps:           basicApps(rs),
+				Apps:           core.BasicApps(rs),
 				Classifier:     func(f map[envmon.Factor]string) spec.EnvState { return spec.EnvState(f[envFactor]) },
 				InitialFactors: map[envmon.Factor]string{envFactor: string(rs.StartEnv)},
 				Script:         script,

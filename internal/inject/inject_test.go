@@ -202,7 +202,7 @@ func TestFailureInEveryProtocolFrame(t *testing.T) {
 		t.Run(fmt.Sprintf("offset=%d", offset), func(t *testing.T) {
 			rs := spectest.ThreeConfig()
 			rs.DwellFrames = 1
-			apps := basicAppsForTest(rs)
+			apps := core.BasicApps(rs)
 			sys, err := core.NewSystem(core.Options{
 				Spec:       rs,
 				Apps:       apps,
@@ -244,16 +244,6 @@ func TestFailureInEveryProtocolFrame(t *testing.T) {
 			}
 		})
 	}
-}
-
-// basicAppsForTest builds reference implementations for every real app.
-func basicAppsForTest(rs *spec.ReconfigSpec) map[spec.AppID]core.App {
-	apps := make(map[spec.AppID]core.App)
-	for _, decl := range rs.RealApps() {
-		decl := decl
-		apps[decl.ID] = core.NewBasicApp(&decl)
-	}
-	return apps
 }
 
 // TestLongSoak runs long mixed campaigns (environment churn plus processor

@@ -110,7 +110,7 @@ func (c MembershipCampaign) plan() (core.Options, map[int64]int) {
 
 	opts := core.Options{
 		Spec:           rs,
-		Apps:           basicApps(rs),
+		Apps:           core.BasicApps(rs),
 		Classifier:     preset.Classifier,
 		InitialFactors: preset.Factors(),
 		Script:         script,

@@ -104,7 +104,7 @@ func (c StorageCampaign) Options() core.Options {
 
 	return core.Options{
 		Spec:           rs,
-		Apps:           basicApps(rs),
+		Apps:           core.BasicApps(rs),
 		Classifier:     preset.Classifier,
 		InitialFactors: preset.Factors(),
 		Script:         script,

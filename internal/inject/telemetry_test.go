@@ -22,8 +22,8 @@ func TestRecoveredRingRoundTrip(t *testing.T) {
 	const frames = 60
 	sys, err := core.NewSystem(core.Options{
 		Spec:           rs,
-		Apps:           basicApps(rs),
-		Classifier:     threeConfigClassifier,
+		Apps:           core.BasicApps(rs),
+		Classifier:     spectest.ThreeConfigClassifier,
 		InitialFactors: map[envmon.Factor]string{"alt1": "ok", "alt2": "ok"},
 		Script: []envmon.Event{
 			{Frame: 10, Factor: "alt1", Value: "failed"},

@@ -88,8 +88,8 @@ func TestTraceSurvivesHaltMidWindow(t *testing.T) {
 	rs := spectest.ThreeConfig()
 	sys, err := core.NewSystem(core.Options{
 		Spec:           rs,
-		Apps:           basicApps(rs),
-		Classifier:     threeConfigClassifier,
+		Apps:           core.BasicApps(rs),
+		Classifier:     spectest.ThreeConfigClassifier,
 		InitialFactors: map[envmon.Factor]string{"alt1": "ok", "alt2": "ok"},
 		Script:         []envmon.Event{{Frame: 10, Factor: "alt1", Value: "failed"}},
 		TraceSeed:      7,
@@ -162,8 +162,8 @@ func TestTraceSurvivesHaltMidChainedWindow(t *testing.T) {
 	}
 	sys, err := core.NewSystem(core.Options{
 		Spec:           rs,
-		Apps:           basicApps(rs),
-		Classifier:     threeConfigClassifier,
+		Apps:           core.BasicApps(rs),
+		Classifier:     spectest.ThreeConfigClassifier,
 		InitialFactors: map[envmon.Factor]string{"alt1": "ok", "alt2": "ok"},
 		Script: []envmon.Event{
 			{Frame: 10, Factor: "alt1", Value: "failed"},
@@ -257,8 +257,8 @@ func TestTraceSurvivesHaltMidMembershipCatchup(t *testing.T) {
 	rs := spectest.ThreeConfigWithSpares(1)
 	sys, err := core.NewSystem(core.Options{
 		Spec:           rs,
-		Apps:           basicApps(rs),
-		Classifier:     threeConfigClassifier,
+		Apps:           core.BasicApps(rs),
+		Classifier:     spectest.ThreeConfigClassifier,
 		InitialFactors: map[envmon.Factor]string{"alt1": "ok", "alt2": "ok"},
 		TraceSeed:      7,
 		Membership: &core.MembershipOptions{

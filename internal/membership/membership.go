@@ -41,8 +41,8 @@ package membership
 import (
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/spec"
-	"repro/internal/stable"
 )
 
 // Status is a member processor's lifecycle state within the view.
@@ -123,17 +123,17 @@ const memberMinSize = 4
 func appendRecord(dst []byte, v View) []byte {
 	start := len(dst)
 	dst = append(dst, tagView)
-	dst = stable.AppendVarint(dst, v.Epoch)
-	dst = stable.AppendString(dst, string(v.Auth))
-	dst = stable.AppendCount(dst, len(v.Members))
+	dst = codec.AppendVarint(dst, v.Epoch)
+	dst = codec.AppendString(dst, string(v.Auth))
+	dst = codec.AppendCount(dst, len(v.Members))
 	for i := range v.Members {
 		mem := &v.Members[i]
-		dst = stable.AppendString(dst, string(mem.Proc))
-		dst = stable.AppendString(dst, string(mem.Status))
-		dst = stable.AppendVarint(dst, int64(mem.CatchUp))
-		dst = stable.AppendFlag(dst, mem.CaughtUp)
+		dst = codec.AppendString(dst, string(mem.Proc))
+		dst = codec.AppendString(dst, string(mem.Status))
+		dst = codec.AppendVarint(dst, int64(mem.CatchUp))
+		dst = codec.AppendFlag(dst, mem.CaughtUp)
 	}
-	return stable.SealRecord(dst, start)
+	return codec.SealRecord(dst, start)
 }
 
 // EncodeRecord renders a view as a checksummed stable-storage record.
@@ -155,7 +155,7 @@ func DecodeRecord(raw []byte) (View, error) {
 // platform (nil rs interns nothing). A view decoded from the frame's own
 // records allocates nothing.
 func decodeRecordInto(raw []byte, rs *spec.ReconfigSpec, v *View) error {
-	r := stable.OpenRecord(raw, tagView)
+	r := codec.OpenRecord(raw, tagView)
 	v.Epoch = r.Varint()
 	v.Auth = internProc(rs, r.Bytes())
 	n := r.Count(memberMinSize)

@@ -3,12 +3,12 @@ package scram
 import (
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/spec"
-	"repro/internal/stable"
 )
 
 // The SCRAM's stable-storage records use the frame-path record codec of
-// package stable (tag byte, varints, length-prefixed strings, CRC32C
+// package codec (tag byte, varints, length-prefixed strings, CRC32C
 // trailer). One decoder per record kind serves every reader — the
 // applications' per-frame command reads, ReadCommand, and the takeover
 // validation in Restore — so what a takeover accepts and what the frame path
@@ -18,7 +18,7 @@ import (
 
 // errPlanApps reports a persisted plan whose window sets do not match the
 // specification's applications.
-var errPlanApps = fmt.Errorf("%w: plan does not carry one window set per application", stable.ErrCorrupt)
+var errPlanApps = fmt.Errorf("%w: plan does not carry one window set per application", codec.ErrCorrupt)
 
 // Record tags.
 const (
@@ -30,21 +30,21 @@ const (
 func appendCommand(dst []byte, cmd Command) []byte {
 	start := len(dst)
 	dst = append(dst, tagCommand)
-	dst = stable.AppendVarint(dst, cmd.Seq)
-	dst = stable.AppendVarint(dst, int64(cmd.Phase))
-	dst = stable.AppendString(dst, string(cmd.Target))
-	dst = stable.AppendString(dst, string(cmd.Config))
-	dst = stable.AppendVarint(dst, cmd.WinStart)
-	dst = stable.AppendVarint(dst, cmd.WinEnd)
-	dst = stable.AppendVarint(dst, cmd.Epoch)
-	return stable.SealRecord(dst, start)
+	dst = codec.AppendVarint(dst, cmd.Seq)
+	dst = codec.AppendVarint(dst, int64(cmd.Phase))
+	dst = codec.AppendString(dst, string(cmd.Target))
+	dst = codec.AppendString(dst, string(cmd.Config))
+	dst = codec.AppendVarint(dst, cmd.WinStart)
+	dst = codec.AppendVarint(dst, cmd.WinEnd)
+	dst = codec.AppendVarint(dst, cmd.Epoch)
+	return codec.SealRecord(dst, start)
 }
 
 // decodeCommand decodes a configuration_status record of app (nil when the
 // application is unknown: its specification IDs are then not interned).
 // Every failure wraps stable.ErrCorrupt.
 func decodeCommand(raw []byte, rs *spec.ReconfigSpec, app *spec.App) (Command, error) {
-	r := stable.OpenRecord(raw, tagCommand)
+	r := codec.OpenRecord(raw, tagCommand)
 	// Fields decode in order: a composite literal evaluates its calls left
 	// to right.
 	cmd := Command{
@@ -68,39 +68,39 @@ func decodeCommand(raw []byte, rs *spec.ReconfigSpec, app *spec.App) (Command, e
 func appendState(dst []byte, st *kernelState) []byte {
 	start := len(dst)
 	dst = append(dst, tagState)
-	dst = stable.AppendString(dst, string(st.Current))
-	dst = stable.AppendString(dst, string(st.Env))
-	dst = stable.AppendVarint(dst, st.Seq)
-	dst = stable.AppendVarint(dst, st.LastEnd)
-	dst = stable.AppendString(dst, string(st.LastSource))
-	dst = stable.AppendString(dst, string(st.TriggerApp))
-	dst = stable.AppendFlag(dst, st.Urgent)
-	dst = stable.AppendVarint(dst, st.Epoch)
+	dst = codec.AppendString(dst, string(st.Current))
+	dst = codec.AppendString(dst, string(st.Env))
+	dst = codec.AppendVarint(dst, st.Seq)
+	dst = codec.AppendVarint(dst, st.LastEnd)
+	dst = codec.AppendString(dst, string(st.LastSource))
+	dst = codec.AppendString(dst, string(st.TriggerApp))
+	dst = codec.AppendFlag(dst, st.Urgent)
+	dst = codec.AppendVarint(dst, st.Epoch)
 	p := st.Plan
-	dst = stable.AppendFlag(dst, p != nil)
+	dst = codec.AppendFlag(dst, p != nil)
 	if p != nil {
-		dst = stable.AppendVarint(dst, p.Seq)
-		dst = stable.AppendString(dst, string(p.Source))
-		dst = stable.AppendString(dst, string(p.Target))
+		dst = codec.AppendVarint(dst, p.Seq)
+		dst = codec.AppendString(dst, string(p.Source))
+		dst = codec.AppendString(dst, string(p.Target))
 		for _, v := range [...]int64{p.TriggerFrame, p.HaltStart, p.HaltEnd, p.PrepStart, p.PrepEnd, p.InitStart, p.InitEnd} {
-			dst = stable.AppendVarint(dst, v)
+			dst = codec.AppendVarint(dst, v)
 		}
-		dst = stable.AppendFlag(dst, p.Retargeted)
-		dst = stable.AppendFlag(dst, p.Chained)
-		dst = stable.AppendVarint(dst, p.ChainStart)
-		dst = stable.AppendString(dst, string(p.ChainSource))
-		dst = stable.AppendVarint(dst, p.SpanPhase)
-		dst = stable.AppendString(dst, p.SpanPhaseName)
-		dst = stable.AppendCount(dst, len(p.Apps))
+		dst = codec.AppendFlag(dst, p.Retargeted)
+		dst = codec.AppendFlag(dst, p.Chained)
+		dst = codec.AppendVarint(dst, p.ChainStart)
+		dst = codec.AppendString(dst, string(p.ChainSource))
+		dst = codec.AppendVarint(dst, p.SpanPhase)
+		dst = codec.AppendString(dst, p.SpanPhaseName)
+		dst = codec.AppendCount(dst, len(p.Apps))
 		for i := range p.Apps {
 			aw := &p.Apps[i]
 			for _, v := range [...]int64{aw.HaltStart, aw.HaltEnd, aw.PrepStart, aw.PrepEnd, aw.InitStart, aw.InitEnd} {
-				dst = stable.AppendVarint(dst, v)
+				dst = codec.AppendVarint(dst, v)
 			}
-			dst = stable.AppendString(dst, string(aw.Target))
+			dst = codec.AppendString(dst, string(aw.Target))
 		}
 	}
-	return stable.SealRecord(dst, start)
+	return codec.SealRecord(dst, start)
 }
 
 // appWindowsMinSize is the smallest encoding of one application's windows:
@@ -113,7 +113,7 @@ const appWindowsMinSize = 7
 // name, which the specification does not enumerate; a restore is rare, so
 // those two copy. Every failure wraps stable.ErrCorrupt.
 func decodeState(raw []byte, rs *spec.ReconfigSpec, st *kernelState) error {
-	r := stable.OpenRecord(raw, tagState)
+	r := codec.OpenRecord(raw, tagState)
 	var s kernelState
 	s.Current = internConfig(rs, r.Bytes())
 	s.Env = spec.EnvState(r.Bytes())

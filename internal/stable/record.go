@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"repro/internal/codec"
 )
 
 // The hardened storage layer derives dependable stable storage from
@@ -17,8 +19,10 @@ import (
 // detectable after the fact.
 
 // ErrCorrupt reports a record that failed its integrity check: the medium
-// returned bytes, but they are not a well-formed checksummed record.
-var ErrCorrupt = errors.New("stable: corrupt record")
+// returned bytes, but they are not a well-formed checksummed record. It is
+// codec.ErrCorrupt, so a frame-path record that fails to decode and a
+// storage record that fails its check report one error.
+var ErrCorrupt = codec.ErrCorrupt
 
 // ErrUnrecoverable reports corruption that defeated every replica. The owner
 // of the store must treat this as a fail-stop failure: halting is the only

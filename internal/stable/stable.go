@@ -30,6 +30,7 @@ package stable
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -548,59 +549,52 @@ func (s *Store) PutInt64(key string, val int64) {
 
 // parseDecimal parses a decimal int64 from raw bytes without converting to a
 // string, so the per-frame counter reads on the kernel path stay
-// allocation-free.
+// allocation-free. It accepts exactly what strconv.ParseInt(s, 10, 64)
+// accepts: an optional sign and at least one digit, within the int64 range.
 func parseDecimal(v []byte) (int64, bool) {
+	neg := len(v) > 0 && v[0] == '-'
+	if len(v) > 0 && (v[0] == '-' || v[0] == '+') {
+		v = v[1:]
+	}
 	if len(v) == 0 {
 		return 0, false
 	}
-	neg := false
-	i := 0
-	if v[0] == '-' || v[0] == '+' {
-		neg = v[0] == '-'
-		i = 1
-		if len(v) == 1 {
-			return 0, false
-		}
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++ // -9223372036854775808 has no positive counterpart
 	}
-	var n int64
-	for ; i < len(v); i++ {
-		d := v[i]
+	var n uint64
+	for _, d := range v {
 		if d < '0' || d > '9' {
 			return 0, false
 		}
-		prev := n
-		n = n*10 + int64(d-'0')
-		if n < prev {
+		if n > (limit-uint64(d-'0'))/10 {
 			return 0, false // overflow
 		}
+		n = n*10 + uint64(d-'0')
 	}
 	if neg {
-		n = -n
+		return -int64(n), true
 	}
-	return n, true
+	return int64(n), true
 }
 
 // GetInt64 returns the committed value for key parsed as a decimal integer.
 // It returns an error if the key is absent or malformed.
 func (s *Store) GetInt64(key string) (int64, error) {
+	var v []byte
+	var ok bool
 	if s.rep == nil {
-		v, ok := s.committed[key]
-		if !ok {
-			return 0, fmt.Errorf("stable: key %q not present", key)
-		}
-		n, ok := parseDecimal(v)
-		if !ok {
-			return 0, fmt.Errorf("stable: key %q: malformed integer %q", key, v)
-		}
-		return n, nil
+		v, ok = s.committed[key] // in place: parseDecimal keeps nothing
+	} else {
+		v, ok = s.Get(key)
 	}
-	v, ok := s.Get(key)
 	if !ok {
 		return 0, fmt.Errorf("stable: key %q not present", key)
 	}
-	n, err := strconv.ParseInt(string(v), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("stable: key %q: %w", key, err)
+	n, ok := parseDecimal(v)
+	if !ok {
+		return 0, fmt.Errorf("stable: key %q: malformed integer %q", key, v)
 	}
 	return n, nil
 }

@@ -2,7 +2,9 @@ package stable
 
 import (
 	"bytes"
+	"math"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -192,6 +194,47 @@ func TestTypedHelpers(t *testing.T) {
 	}
 	if err := s.PutJSON("ch", make(chan int)); err == nil {
 		t.Error("PutJSON(chan) did not error")
+	}
+}
+
+// TestGetInt64MatchesParseInt holds GetInt64 on both backends to
+// strconv.ParseInt(s, 10, 64): the same value for every input it accepts,
+// an error for every input it rejects (where ParseInt also returns a
+// clamped value) — the int64 bounds, overflow that
+// wraps a 64-bit accumulator, a lone sign and empty input included — and
+// PutInt64 round-trips both bounds.
+func TestGetInt64MatchesParseInt(t *testing.T) {
+	inputs := []string{
+		"0", "-0", "+0", "7", "+7", "-42", "007",
+		"9223372036854775807", "-9223372036854775808",
+		"9223372036854775808", "-9223372036854775809",
+		"25000000000000000000", "18446744073709551616", "-18446744073709551617",
+		"", "-", "+", "--1", "+-1", "12a", " 1", "1 ", "1_000", "0x10",
+	}
+	backends := map[string]func() *Store{
+		"plain":    NewStore,
+		"hardened": func() *Store { return NewHardened(MountReplicatedStore(NewMemMedium(), NewMemMedium())) },
+	}
+	for name, mk := range backends {
+		s := mk()
+		for i, in := range inputs {
+			s.Put(strconv.Itoa(i), []byte(in))
+		}
+		s.PutInt64("max", math.MaxInt64)
+		s.PutInt64("min", math.MinInt64)
+		s.Commit()
+		for i, in := range inputs {
+			want, wantErr := strconv.ParseInt(in, 10, 64)
+			got, err := s.GetInt64(strconv.Itoa(i))
+			if (err != nil) != (wantErr != nil) || (err == nil && got != want) {
+				t.Errorf("%s: GetInt64(%q) = %d, %v; strconv.ParseInt gives %d, %v", name, in, got, err, want, wantErr)
+			}
+		}
+		for key, want := range map[string]int64{"max": math.MaxInt64, "min": math.MinInt64} {
+			if got, err := s.GetInt64(key); err != nil || got != want {
+				t.Errorf("%s: PutInt64(%d) reads back %d, %v", name, want, got, err)
+			}
+		}
 	}
 }
 

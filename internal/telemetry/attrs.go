@@ -16,8 +16,8 @@ type Attr struct {
 // Attrs is an event's structured numeric attributes, held sorted by key
 // with each key at most once. It encodes as a JSON object whose keys come
 // in sorted order — the bytes encoding/json writes for the equivalent
-// map[string]int64 — and the journal encoder walks the entries as they
-// lie.
+// map[string]int64 — and the ring-chunk encoder walks the entries as they
+// lie (the chunk decoder rejects keys out of order).
 //
 // Build one with With, or as a literal whose keys are already in order.
 // The Recorder copies the attributes of every event it keeps into storage
@@ -58,23 +58,41 @@ func (a Attrs) With(key string, v int64) Attrs {
 	return a
 }
 
-// appendAttrs appends a as a JSON object.
-func appendAttrs(buf []byte, a Attrs) []byte {
+// MarshalJSON encodes a as a JSON object in key order: encoding/json's
+// rendering of the equivalent map. A key with no byte encoding/json escapes
+// — every key the repository records — is copied between quotes as it is;
+// any other goes through encoding/json.
+func (a Attrs) MarshalJSON() ([]byte, error) {
+	buf := make([]byte, 0, 2+24*len(a))
 	buf = append(buf, '{')
 	for i, x := range a {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendJSONString(buf, x.Key)
+		if plainJSON(x.Key) {
+			buf = append(append(append(buf, '"'), x.Key...), '"')
+		} else {
+			k, err := json.Marshal(x.Key)
+			if err != nil {
+				return nil, err
+			}
+			buf = append(buf, k...)
+		}
 		buf = append(buf, ':')
 		buf = strconv.AppendInt(buf, x.Val, 10)
 	}
-	return append(buf, '}')
+	return append(buf, '}'), nil
 }
 
-// MarshalJSON encodes a as a JSON object in key order.
-func (a Attrs) MarshalJSON() ([]byte, error) {
-	return appendAttrs(nil, a), nil
+// plainJSON reports whether s is printable ASCII that encoding/json writes
+// unescaped: no quote, backslash or HTML-sensitive byte.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
 }
 
 // UnmarshalJSON decodes a JSON object of integers, sorting its keys.

@@ -1,29 +1,51 @@
 package telemetry
 
 import (
+	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 
+	"repro/internal/codec"
 	"repro/internal/spec"
+	"repro/internal/trace"
 )
 
-// This file hand-rolls the JSON encoding of Event (and its FrameState
-// payload) for the persistence path. Recorder.Persist runs on the
-// frame-commit hot path: under reconfiguration churn it encodes several
-// events per frame, and encoding/json's reflection walk allocates per field
-// and per map entry. The hand encoder appends into a reused buffer instead —
-// zero allocations per event once the buffer has grown — while producing
-// exactly the bytes encoding/json would (struct field order, omitempty,
-// sorted map keys, HTML-escaped strings), so readers keep using
-// json.Unmarshal and journals stay byte-identical with re-encoded ones.
+// A ring chunk — the events one or more consecutive Persist calls staged
+// under one telemetry/ev/<seq> key — is one frame-path record (package
+// codec): the chunk tag, each event's fields in a fixed order, and the
+// CRC32C trailer. An event is its sequence number and frame, its kind and
+// the six optional strings (empty when absent), its attributes in key
+// order, and an optional frame-state sample whose applications come in ID
+// order; no attributes and no applications both decode as nil. The chunk
+// carries no event count: its events run to the trailer, so the open chunk
+// grows by cutting the trailer, appending the frame's events and sealing
+// again.
 //
-// The encoder must stay in lockstep with the Event / FrameState / AppSnap
-// struct definitions; TestEventEncoderMatchesStdlib enforces that field by
-// field.
+// Decoding is strict, as for every frame-path record: attribute keys and
+// application IDs must ascend strictly and statuses must be known, so a
+// chunk that decodes re-encodes to exactly its input.
 
-// eventEncoder holds the reused buffers of one encoding stream. It is owned
-// by the Recorder.
+// tagChunk is the record tag of a ring chunk.
+const tagChunk byte = 'E'
+
+// The smallest encodings of a repeated element, for RecordReader.Count: an
+// attribute is a key length and a one-byte varint; an application is an
+// ID length, a status, a specification length and a flag.
+const (
+	attrMinSize = 2
+	appMinSize  = 4
+)
+
+// The ways a ring chunk's fields can be well formed yet not canonical. Each
+// wraps codec.ErrCorrupt.
+var (
+	errAttrOrder = fmt.Errorf("%w: event attributes not in ascending key order", codec.ErrCorrupt)
+	errAppOrder  = fmt.Errorf("%w: frame-state applications not in ascending ID order", codec.ErrCorrupt)
+	errStatus    = fmt.Errorf("%w: unknown reconfiguration status", codec.ErrCorrupt)
+)
+
+// eventEncoder holds the reused buffers of the persistence path's encoder.
+// It is owned by the Recorder.
 type eventEncoder struct {
 	buf  []byte
 	apps []appKV // scratch for sorted FrameState apps
@@ -41,86 +63,34 @@ type appKV struct {
 	snap AppSnap
 }
 
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal, escaping exactly the
-// characters encoding/json escapes (including the HTML-sensitive ones, for
-// byte-compatibility with stdlib-encoded journals).
-func appendJSONString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	// Copy maximal spans of bytes needing no escape in one append; almost
-	// every string here (identifiers, config names) is one clean span.
-	// Bytes ≥ 0x80 — UTF-8 continuations — pass through verbatim, as in
-	// encoding/json (the inputs are our own identifiers and fmt-built
-	// details, always valid UTF-8).
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-			continue
-		}
-		buf = append(buf, s[start:i]...)
-		switch c {
-		case '"', '\\':
-			buf = append(buf, '\\', c)
-		case '\n':
-			buf = append(buf, '\\', 'n')
-		case '\r':
-			buf = append(buf, '\\', 'r')
-		case '\t':
-			buf = append(buf, '\\', 't')
-		default:
-			buf = append(buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-		}
-		start = i + 1
+// appendEvent appends e's fields to dst (which may alias enc.buf — Persist
+// builds chunk records that way) and returns the extended slice.
+func (enc *eventEncoder) appendEvent(dst []byte, e *Event) []byte {
+	dst = codec.AppendVarint(dst, e.Seq)
+	dst = codec.AppendVarint(dst, e.Frame)
+	for _, s := range [...]string{string(e.Kind), e.App, e.Host, e.Config, e.From, e.Phase, e.Detail} {
+		dst = codec.AppendString(dst, s)
 	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
-}
-
-// appendStringField appends `,"name":"value"` for a non-empty string field
-// with omitempty semantics, given the field's `,"name":` prefix (the leading
-// comma is always safe: seq is emitted first unconditionally).
-func appendStringField(buf []byte, prefix, val string) []byte {
-	if val == "" {
-		return buf
+	dst = codec.AppendCount(dst, len(e.Attrs))
+	for _, a := range e.Attrs {
+		dst = codec.AppendString(dst, a.Key)
+		dst = codec.AppendVarint(dst, a.Val)
 	}
-	buf = append(buf, prefix...)
-	return appendJSONString(buf, val)
-}
-
-// appendEvent encodes e into the encoder's own buffer and returns the
-// encoded record, which aliases that buffer and is valid until the next
-// call.
-func (enc *eventEncoder) appendEvent(e *Event) []byte {
-	enc.buf = enc.appendEventTo(enc.buf[:0], e)
-	return enc.buf
-}
-
-// appendEventTo appends e's JSON encoding to buf (which may alias enc.buf —
-// Persist builds chunk records that way) and returns the extended slice.
-func (enc *eventEncoder) appendEventTo(buf []byte, e *Event) []byte {
-	buf = append(buf, `{"seq":`...)
-	buf = strconv.AppendInt(buf, e.Seq, 10)
-	buf = append(buf, `,"frame":`...)
-	buf = strconv.AppendInt(buf, e.Frame, 10)
-	buf = append(buf, `,"kind":`...)
-	buf = appendJSONString(buf, string(e.Kind))
-	buf = appendStringField(buf, `,"app":`, e.App)
-	buf = appendStringField(buf, `,"host":`, e.Host)
-	buf = appendStringField(buf, `,"config":`, e.Config)
-	buf = appendStringField(buf, `,"from":`, e.From)
-	buf = appendStringField(buf, `,"phase":`, e.Phase)
-	buf = appendStringField(buf, `,"detail":`, e.Detail)
-	if len(e.Attrs) > 0 {
-		buf = append(buf, `,"attrs":`...)
-		buf = appendAttrs(buf, e.Attrs)
+	fs := e.State
+	dst = codec.AppendFlag(dst, fs != nil)
+	if fs == nil {
+		return dst
 	}
-	if e.State != nil {
-		buf = append(buf, `,"state":`...)
-		buf = enc.appendFrameState(buf, e.State)
+	dst = codec.AppendString(dst, string(fs.Config))
+	dst = codec.AppendString(dst, string(fs.Env))
+	dst = codec.AppendCount(dst, len(fs.Apps))
+	for _, kv := range enc.sortedApps(fs.Apps) {
+		dst = codec.AppendString(dst, string(kv.id))
+		dst = codec.AppendVarint(dst, int64(kv.snap.Status))
+		dst = codec.AppendString(dst, string(kv.snap.Spec))
+		dst = codec.AppendFlag(dst, kv.snap.PreOK)
 	}
-	return append(buf, '}')
+	return dst
 }
 
 // sortedApps returns fs.Apps's entries sorted by application ID, in the
@@ -157,31 +127,48 @@ func (enc *eventEncoder) sortedApps(apps map[spec.AppID]AppSnap) []appKV {
 	return as
 }
 
-// appendFrameState appends a FrameState object.
-func (enc *eventEncoder) appendFrameState(buf []byte, fs *FrameState) []byte {
-	buf = append(buf, `{"config":`...)
-	buf = appendJSONString(buf, string(fs.Config))
-	buf = append(buf, `,"env":`...)
-	buf = appendJSONString(buf, string(fs.Env))
-	buf = append(buf, `,"apps":`...)
-	if fs.Apps == nil {
-		buf = append(buf, "null}"...)
-		return buf
-	}
-	buf = append(buf, '{')
-	for i, kv := range enc.sortedApps(fs.Apps) {
-		if i > 0 {
-			buf = append(buf, ',')
+// decodeChunk appends the events of one ring chunk to events. Every failure
+// wraps codec.ErrCorrupt.
+func decodeChunk(raw []byte, events []Event) ([]Event, error) {
+	r := codec.OpenRecord(raw, tagChunk)
+	for r.More() {
+		e := Event{Seq: r.Varint(), Frame: r.Varint(), Kind: Kind(r.Bytes())}
+		for _, s := range [...]*string{&e.App, &e.Host, &e.Config, &e.From, &e.Phase, &e.Detail} {
+			*s = string(r.Bytes())
 		}
-		a := kv.snap
-		buf = appendJSONString(buf, string(kv.id))
-		buf = append(buf, `:{"status":`...)
-		buf = appendJSONString(buf, a.Status.String())
-		buf = append(buf, `,"spec":`...)
-		buf = appendJSONString(buf, string(a.Spec))
-		buf = append(buf, `,"pre_ok":`...)
-		buf = strconv.AppendBool(buf, a.PreOK)
-		buf = append(buf, '}')
+		if n := r.Count(attrMinSize); n > 0 {
+			e.Attrs = make(Attrs, n)
+			for i := range e.Attrs {
+				e.Attrs[i] = Attr{string(r.Bytes()), r.Varint()}
+				if i > 0 && r.Err() == nil && e.Attrs[i].Key <= e.Attrs[i-1].Key {
+					return events, errAttrOrder
+				}
+			}
+		}
+		if r.Flag() {
+			fs := &FrameState{Config: spec.ConfigID(r.Bytes()), Env: spec.EnvState(r.Bytes())}
+			if n := r.Count(appMinSize); n > 0 {
+				fs.Apps = make(map[spec.AppID]AppSnap, n)
+				prev := ""
+				for i := 0; i < n; i++ {
+					id := string(r.Bytes())
+					a := AppSnap{Status: trace.ReconfStatus(r.Varint()), Spec: spec.SpecID(r.Bytes()), PreOK: r.Flag()}
+					if r.Err() != nil {
+						break
+					}
+					if i > 0 && id <= prev {
+						return events, errAppOrder
+					}
+					if a.Status < trace.StatusNormal || a.Status > trace.StatusInitializing {
+						return events, errStatus
+					}
+					fs.Apps[spec.AppID(id)] = a
+					prev = id
+				}
+			}
+			e.State = fs
+		}
+		events = append(events, e)
 	}
-	return append(buf, "}}"...)
+	return events, r.Close()
 }

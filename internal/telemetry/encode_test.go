@@ -1,28 +1,40 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
-// TestEventEncoderMatchesStdlib pins the hand-rolled persistence encoder to
-// encoding/json byte for byte. If a field is added to Event, FrameState or
-// AppSnap without teaching encode.go about it, the new field silently
-// vanishes from persisted rings — this test is what catches that.
-func TestEventEncoderMatchesStdlib(t *testing.T) {
+// chunkOf encodes events as one sealed ring chunk, as Persist does.
+func chunkOf(enc *eventEncoder, events []Event) []byte {
+	b := []byte{tagChunk}
+	for i := range events {
+		b = enc.appendEvent(b, &events[i])
+	}
+	return codec.SealRecord(b, 0)
+}
+
+// TestChunkRoundTrip encodes every field of Event, FrameState and AppSnap
+// into a ring chunk and decodes it back: the events must come back equal,
+// and the decoded events must re-encode to exactly the chunk's bytes. If a
+// field is added to Event, FrameState or AppSnap without teaching
+// encode.go about it, the new field silently vanishes from persisted rings
+// — this test is what catches that.
+func TestChunkRoundTrip(t *testing.T) {
 	events := []Event{
-		// Minimal: every omitempty field empty.
+		// Minimal: every optional field empty.
 		{Seq: 0, Frame: 0, Kind: KindSignal},
-		// All scalar fields set, including strings that exercise the
-		// escaper: quotes, backslashes, control characters, and the
-		// HTML-sensitive <, >, & that stdlib escapes as \u00XX.
+		// All scalar fields set, including bytes JSON would escape.
 		{
 			Seq:    42,
 			Frame:  -7,
@@ -34,21 +46,16 @@ func TestEventEncoderMatchesStdlib(t *testing.T) {
 			Phase:  "init\x01ctl",
 			Detail: "transition c1 -> c2 (λ uniçode ☃)",
 		},
-		// Attrs: emitted in sorted key order, as stdlib emits a map.
+		// Attrs, in key order.
 		{
 			Seq:   7,
 			Frame: 3,
 			Kind:  KindComplete,
 			Attrs: attrsOf(map[string]int64{"zz": -1, "aa": 9, "m<id>": 0, "frame": 1 << 40}),
 		},
-		// Frame state with nil Apps map.
-		{
-			Seq:   8,
-			Frame: 4,
-			Kind:  KindFrameState,
-			State: &FrameState{Config: "c1", Env: "nominal"},
-		},
-		// Frame state with several apps, sorted, all AppSnap fields.
+		// Frame state with no applications.
+		{Seq: 8, Frame: 4, Kind: KindFrameState, State: &FrameState{Config: "c1", Env: "nominal"}},
+		// Frame state with several apps, all AppSnap fields.
 		{
 			Seq:   9,
 			Frame: 5,
@@ -65,25 +72,77 @@ func TestEventEncoderMatchesStdlib(t *testing.T) {
 			},
 		},
 	}
-
 	var enc eventEncoder
-	for i := range events {
-		e := &events[i]
-		want, err := json.Marshal(e)
-		if err != nil {
-			t.Fatalf("stdlib marshal event %d: %v", i, err)
-		}
-		got := enc.appendEvent(e)
-		if string(got) != string(want) {
-			t.Errorf("event %d encoding diverges from stdlib:\n got  %s\n want %s", i, got, want)
-		}
-		// Round-trip: the persisted record must decode back to the event.
-		var back Event
-		if err := json.Unmarshal(got, &back); err != nil {
-			t.Fatalf("round-trip unmarshal event %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(back.Attrs, e.Attrs) {
-			t.Errorf("event %d attrs round-trip to %v, want %v", i, back.Attrs, e.Attrs)
+	chunk := chunkOf(&enc, events)
+	back, err := decodeChunk(chunk, nil)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(back, events) {
+		t.Errorf("round trip:\n got  %+v\n want %+v", back, events)
+	}
+	if again := chunkOf(&enc, back); !bytes.Equal(again, chunk) {
+		t.Errorf("decoded chunk re-encodes differently:\n in  %x\n out %x", chunk, again)
+	}
+}
+
+// appsChunk builds a chunk of one frame-state event whose applications are
+// written as given, bypassing the encoder's sort.
+func appsChunk(status trace.ReconfStatus, ids ...string) []byte {
+	b := []byte{tagChunk}
+	b = codec.AppendVarint(b, 0) // seq
+	b = codec.AppendVarint(b, 0) // frame
+	for i := 0; i < 7; i++ {
+		b = codec.AppendString(b, "") // kind and the six optional strings
+	}
+	b = codec.AppendCount(b, 0) // attrs
+	b = codec.AppendFlag(b, true)
+	b = codec.AppendString(b, "c1")
+	b = codec.AppendString(b, "nominal")
+	b = codec.AppendCount(b, len(ids))
+	for _, id := range ids {
+		b = codec.AppendString(b, id)
+		b = codec.AppendVarint(b, int64(status))
+		b = codec.AppendString(b, "s")
+		b = codec.AppendFlag(b, false)
+	}
+	return codec.SealRecord(b, 0)
+}
+
+// badChunks are ring chunks the decoder must reject as corrupt, by name.
+// testdata/fuzz/FuzzDecodeRingChunk holds each of them, under its name, as
+// a seed of the fuzz target.
+func badChunks() map[string][]byte {
+	var enc eventEncoder
+	valid := chunkOf(&enc, []Event{{Seq: 3, Frame: 2, Kind: KindHalt, App: "a1", Attrs: Attrs{{"deadline", 12}, {"window", 4}}}})
+	flip := bytes.Clone(valid)
+	flip[len(flip)/2] ^= 0x40
+	body := valid[:len(valid)-codec.TrailerLen]
+	retag := append([]byte{'K'}, body[1:]...)
+	return map[string][]byte{
+		"bad-crc":         flip,
+		"truncated":       valid[:len(valid)-3],
+		"bad-tag":         codec.SealRecord(retag, 0),
+		"unsorted-attrs":  chunkOf(&enc, []Event{{Kind: KindHalt, Attrs: Attrs{{"window", 4}, {"deadline", 12}}}}),
+		"duplicate-attrs": chunkOf(&enc, []Event{{Kind: KindHalt, Attrs: Attrs{{"window", 4}, {"window", 5}}}}),
+		"unsorted-apps":   appsChunk(trace.StatusNormal, "b", "a"),
+		"duplicate-apps":  appsChunk(trace.StatusNormal, "a", "a"),
+		"unknown-status":  appsChunk(trace.StatusInitializing+1, "a"),
+		"trailing-bytes":  codec.SealRecord(append(bytes.Clone(body), 0), 0),
+	}
+}
+
+// TestChunkDecodeStrict checks that every malformed or non-canonical chunk
+// fails RecoverRing with an error wrapping codec.ErrCorrupt, while a
+// well-formed chunk built the way the application rejects are decodes.
+func TestChunkDecodeStrict(t *testing.T) {
+	if _, err := decodeChunk(appsChunk(trace.StatusNormal, "a", "b"), nil); err != nil {
+		t.Fatalf("well-formed chunk rejected: %v", err)
+	}
+	for name, raw := range badChunks() {
+		snap := map[string][]byte{eventKey(0): raw}
+		if _, err := RecoverRing(snap); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
 }
@@ -103,8 +162,8 @@ func attrsOf(m map[string]int64) Attrs {
 // order, Get and Value read them, and the JSON encoding is encoding/json's
 // rendering of the map byte for byte, which is what journals hold.
 func TestAttrsMatchMapEncoding(t *testing.T) {
-	m := map[string]int64{"zz": -1, "aa": 9, "m<id>&": 0, "frame": 1 << 40, "span": 3, "end": 7}
-	keys := []string{"span", "zz", "aa", "end", "frame", "m<id>&", "aa", "span"}
+	m := map[string]int64{"zz": -1, "aa": 9, "m<id>&": 0, "frame": 1 << 40, "span": 3, "end": 7, "tab\tλ\u2028": 5}
+	keys := []string{"span", "zz", "aa", "end", "frame", "m<id>&", "tab\tλ\u2028", "aa", "span"}
 	var a Attrs
 	for _, k := range keys {
 		a = a.With(k, m[k])
@@ -147,24 +206,28 @@ func TestAttrsMatchMapEncoding(t *testing.T) {
 // TestEventEncoderRememberedAppOrder drives the encoder's remembered
 // application order with frame states naming different applications, some
 // of equal count, interleaved so every lookup first meets a remembered
-// order that does not fit: each encoding must still match encoding/json.
+// order that does not fit: each encoding must match a fresh encoder's, and
+// decode back to the same applications.
 func TestEventEncoderRememberedAppOrder(t *testing.T) {
 	var events []Event
 	for i := 0; i < 3; i++ {
 		events = append(events,
-			Event{Seq: int64(i), Kind: KindFrameState, State: &FrameState{Config: "c", Apps: map[spec.AppID]AppSnap{"b": {Spec: "s"}, "a": {}}}},
-			Event{Seq: int64(i), Kind: KindFrameState, State: &FrameState{Config: "c", Apps: map[spec.AppID]AppSnap{"b": {}, "c": {PreOK: true}}}},
-			Event{Seq: int64(i), Kind: KindFrameState, State: &FrameState{Config: "c", Apps: map[spec.AppID]AppSnap{"c": {}}}},
+			Event{Seq: int64(i), Kind: KindFrameState, State: &FrameState{Config: "c", Apps: map[spec.AppID]AppSnap{"b": {Status: trace.StatusNormal, Spec: "s"}, "a": {Status: trace.StatusHalted}}}},
+			Event{Seq: int64(i), Kind: KindFrameState, State: &FrameState{Config: "c", Apps: map[spec.AppID]AppSnap{"b": {Status: trace.StatusNormal}, "c": {Status: trace.StatusNormal, PreOK: true}}}},
+			Event{Seq: int64(i), Kind: KindFrameState, State: &FrameState{Config: "c", Apps: map[spec.AppID]AppSnap{"c": {Status: trace.StatusPrepared}}}},
 		)
 	}
 	var enc eventEncoder
 	for i := range events {
-		want, err := json.Marshal(&events[i])
-		if err != nil {
-			t.Fatal(err)
+		var fresh eventEncoder
+		want := chunkOf(&fresh, events[i:i+1])
+		got := chunkOf(&enc, events[i:i+1])
+		if !bytes.Equal(got, want) {
+			t.Errorf("event %d encoding diverges from a fresh encoder's:\n got  %x\n want %x", i, got, want)
 		}
-		if got := enc.appendEvent(&events[i]); string(got) != string(want) {
-			t.Errorf("event %d encoding diverges from stdlib:\n got  %s\n want %s", i, got, want)
+		back, err := decodeChunk(got, nil)
+		if err != nil || !reflect.DeepEqual(back[0].State.Apps, events[i].State.Apps) {
+			t.Errorf("event %d decodes to %+v, %v", i, back, err)
 		}
 	}
 }
@@ -176,69 +239,13 @@ func TestEventEncoderReusesBuffer(t *testing.T) {
 	e := Event{
 		Seq: 3, Frame: 9, Kind: KindHalt, App: "a1", Detail: "halt window open",
 		Attrs: attrsOf(map[string]int64{"window": 4, "deadline": 12}),
+		State: &FrameState{Config: "c", Apps: map[spec.AppID]AppSnap{"a": {}, "b": {}}},
 	}
 	var enc eventEncoder
-	enc.appendEvent(&e) // warm the buffers
-	allocs := testing.AllocsPerRun(100, func() { enc.appendEvent(&e) })
+	enc.buf = enc.appendEvent(enc.buf[:0], &e) // warm the buffers
+	allocs := testing.AllocsPerRun(100, func() { enc.buf = enc.appendEvent(enc.buf[:0], &e) })
 	if allocs != 0 {
 		t.Errorf("warmed appendEvent allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// persistSink captures the last record staged under each key.
-type persistSink map[string][]byte
-
-func (s persistSink) Put(key string, val []byte) { s[key] = append([]byte(nil), val...) }
-func (s persistSink) Delete(key string)          { delete(s, key) }
-
-// TestRegistryPersistMatchesStdlib pins Registry.Persist's hand-rolled
-// snapshot encoding to json.Marshal of Registry.Snapshot, so
-// RecoverSnapshot keeps decoding persisted metrics with encoding/json.
-func TestRegistryPersistMatchesStdlib(t *testing.T) {
-	cases := []struct {
-		name string
-		fill func(r *Registry)
-	}{
-		{"empty", func(r *Registry) {}},
-		{"counters-only", func(r *Registry) {
-			r.Counter("scram/triggers").Add(3)
-			r.Counter("a/first").Inc()
-		}},
-		{"all-kinds", func(r *Registry) {
-			r.Counter("scram/triggers").Add(41)
-			r.Gauge("stable/p1/staged").Set(-7)
-			r.Gauge("bus/backlog").Set(12)
-			h := r.Histogram("scram/window_frames")
-			h.Observe(3)
-			h.Observe(144)
-			r.Histogram("custom/bounds", 10, 20).Observe(15)
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := NewRegistry()
-			tc.fill(reg)
-			want, err := json.Marshal(reg.Snapshot())
-			if err != nil {
-				t.Fatal(err)
-			}
-			sink := persistSink{}
-			if err := reg.Persist(sink); err != nil {
-				t.Fatal(err)
-			}
-			got := sink[metricsKey]
-			if string(got) != string(want) {
-				t.Errorf("Persist encoding diverges from stdlib:\n got  %s\n want %s", got, want)
-			}
-			back, ok, err := RecoverSnapshot(map[string][]byte(sink))
-			if err != nil || !ok {
-				t.Fatalf("RecoverSnapshot: ok=%v err=%v", ok, err)
-			}
-			if snap := reg.Snapshot(); len(back.Counters) != len(snap.Counters) ||
-				len(back.Gauges) != len(snap.Gauges) || len(back.Histograms) != len(snap.Histograms) {
-				t.Errorf("recovered snapshot shape differs: %+v vs %+v", back, snap)
-			}
-		})
 	}
 }
 

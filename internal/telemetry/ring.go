@@ -7,6 +7,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/codec"
 )
 
 // Kind classifies a flight-recorder event.
@@ -181,7 +183,7 @@ func eventKey(seq int64) string {
 	var b [len(eventKeyPrefix) + 16]byte
 	copy(b[:], eventKeyPrefix)
 	for i := 15; i >= 0; i-- {
-		b[len(eventKeyPrefix)+i] = hexDigits[seq&0xf]
+		b[len(eventKeyPrefix)+i] = "0123456789abcdef"[seq&0xf]
 		seq >>= 4
 	}
 	return string(b[:])
@@ -226,15 +228,16 @@ type Recorder struct {
 	// event-carrying frame instead of one per event.
 	chunks []chunkRef
 	// enc is the reused event encoder of the persistence path. Its buffer
-	// doubles as the open chunk's retained encoding (below).
+	// doubles as the open chunk's retained record (below).
 	enc eventEncoder
 	// openKey/openStart identify the open chunk: the most recent chunk,
-	// still accepting appends. Each Persist splices the frame's new events
-	// into the retained encoding (enc.buf) before its closing bracket and
-	// re-puts the same key, so consecutive frames recycle one stable-store
-	// buffer per chunk instead of staging a fresh key per frame. The chunk
-	// seals once its encoding passes openChunkSealBytes; the next events
-	// start a new one. Empty openKey means no chunk is open.
+	// still accepting appends. Each Persist appends the frame's new events
+	// to the retained record (enc.buf) in place of its checksum trailer,
+	// seals it again and re-puts the same key, so consecutive frames
+	// recycle one stable-store buffer per chunk instead of staging a fresh
+	// key per frame. The chunk seals for good once its record passes
+	// openChunkSealBytes; the next events start a new one. Empty openKey
+	// means no chunk is open.
 	openKey   string
 	openStart int64
 	// retain is the retention horizon in frames: at each SetFrame(f) with
@@ -261,12 +264,12 @@ type Recorder struct {
 // allocates once per few dozen events.
 const maxAttrBlock = 256
 
-// trimNoteEvery is the frame cadence of KindTrim announcements. Aligned
-// with the metrics persistence cadence so a weeks-long run's journal
-// carries a sparse, bounded record of its own trimming.
+// trimNoteEvery is the frame cadence of KindTrim announcements, so a
+// weeks-long run's journal carries a sparse, bounded record of its own
+// trimming.
 const trimNoteEvery = 512
 
-// openChunkSealBytes is the encoded size past which the open chunk seals.
+// openChunkSealBytes is the record size past which the open chunk seals.
 // Every Persist while the chunk is open re-copies and re-checksums the whole
 // chunk through the store's commit path, so the threshold trades per-frame
 // commit bandwidth against journal key count — small enough to keep the
@@ -420,13 +423,13 @@ func (r *Recorder) Events() []Event {
 }
 
 // Persist stages the ring delta into kv: events recorded since the last
-// Persist are written as one chunk record (a JSON array keyed by the
-// chunk's first sequence number), chunks whose events have all been evicted
-// are deleted, and the ring bookkeeping record is refreshed. The writes
-// become durable at the owning processor's next frame-boundary commit, so
-// after a fail-stop halt the recovered ring reflects the last committed
-// frame — the black box trails the live ring by at most one frame, exactly
-// the staged writes the halt destroys.
+// Persist are appended to the open chunk record (see encode.go; a chunk is
+// keyed by its first sequence number), and chunks whose events have all
+// been evicted are deleted. The writes become durable at the owning
+// processor's next frame-boundary commit, so after a fail-stop halt the
+// recovered ring reflects the last committed frame — the black box trails
+// the live ring by at most one frame, exactly the staged writes the halt
+// destroys.
 func (r *Recorder) Persist(kv KV) error {
 	lo := r.seq - int64(r.count)
 	if lo == r.persistLo && r.seq == r.persistHi && r.persistHi > 0 {
@@ -447,10 +450,8 @@ func (r *Recorder) Persist(kv KV) error {
 		start = lo
 	}
 	if start < r.seq {
-		// Hand-rolled encoding (see encode.go): byte-identical to
-		// json.Marshal without the per-event reflection allocations. The
-		// store copies what it keeps, so the reused buffer is safe to hand
-		// over.
+		// The store copies what it keeps, so the reused buffer is safe to
+		// hand over.
 		var buf []byte
 		if r.openKey == "" || len(r.enc.buf) >= openChunkSealBytes || r.openStart < lo {
 			// A chunk also seals once the ring evicts past its first event
@@ -460,21 +461,19 @@ func (r *Recorder) Persist(kv KV) error {
 			r.openKey = eventKey(start)
 			r.openStart = start
 			r.chunks = append(r.chunks, chunkRef{start: start, key: r.openKey})
-			buf = append(r.enc.buf[:0], '[')
+			buf = append(r.enc.buf[:0], tagChunk)
 		} else {
-			// Splice this frame's events into the open chunk before its
-			// closing bracket and re-put the same key: the store retires
-			// the displaced committed buffer into its pool, and the next
-			// frame's slightly larger re-put takes it right back.
-			buf = r.enc.buf[:len(r.enc.buf)-1]
+			// Reopen the open chunk: cut its checksum trailer, append this
+			// frame's events, seal it again and re-put the same key. The
+			// store retires the displaced committed buffer into its pool,
+			// and the next frame's slightly larger re-put takes it right
+			// back.
+			buf = r.enc.buf[:len(r.enc.buf)-codec.TrailerLen]
 		}
 		for s := start; s < r.seq; s++ {
-			if buf[len(buf)-1] != '[' {
-				buf = append(buf, ',')
-			}
-			buf = r.enc.appendEventTo(buf, &r.buf[(r.head+int(s-lo))%len(r.buf)])
+			buf = r.enc.appendEvent(buf, &r.buf[(r.head+int(s-lo))%len(r.buf)])
 		}
-		buf = append(buf, ']')
+		buf = codec.SealRecord(buf, 0)
 		r.enc.buf = buf
 		kv.Put(r.openKey, buf)
 	}
@@ -498,7 +497,8 @@ func (r *Recorder) ResetPersistence() {
 
 // RecoverRing reads the flight-recorder journal out of a stable-storage
 // snapshot (as returned by polling a halted processor's stable storage) and
-// returns the events in sequence order.
+// returns the events in sequence order. A chunk that fails to decode fails
+// the recovery with an error wrapping codec.ErrCorrupt (stable.ErrCorrupt).
 func RecoverRing(snap map[string][]byte) ([]Event, error) {
 	keys := make([]string, 0, len(snap))
 	for k := range snap {
@@ -509,16 +509,17 @@ func RecoverRing(snap map[string][]byte) ([]Event, error) {
 	sort.Strings(keys)
 	events := make([]Event, 0, len(keys))
 	for _, k := range keys {
-		// Every record is a chunk: the events one Persist call staged
-		// together, as a JSON array.
-		var chunk []Event
-		if err := json.Unmarshal(snap[k], &chunk); err != nil {
+		// Every record is a chunk: the events of one or more consecutive
+		// Persist calls.
+		var err error
+		if events, err = decodeChunk(snap[k], events); err != nil {
 			return nil, fmt.Errorf("telemetry: decoding recovered event chunk %q: %w", k, err)
 		}
-		events = append(events, chunk...)
 	}
 	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
-	return events, nil
+	// Callers keep recovered rings (a campaign keeps every run's), so hand
+	// back an exact-size copy instead of append's spare capacity.
+	return append(make([]Event, 0, len(events)), events...), nil
 }
 
 // WriteJournal writes events as a JSONL journal: one JSON-encoded event per

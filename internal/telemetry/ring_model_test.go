@@ -2,20 +2,22 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/spec"
+	"repro/internal/trace"
 )
 
 // refRing is the plain-slice reference model of Recorder: the live events in
-// a slice, oldest first, and the persisted journal rebuilt with
-// json.Marshal. It shares no code with the ring beyond eventKey and the
+// a slice, oldest first, and each persisted chunk re-encoded from scratch by
+// a fresh encoder, then checked to decode back to its events. It shares no
+// code with the ring beyond eventKey, the event encoder and the
 // chunk-sealing constants, so the model test pins the ring's logical
-// behaviour independently of how its buffer is laid out.
+// behaviour — and its grow-and-reseal of the open chunk — independently of
+// how its buffer is laid out.
 type refRing struct {
 	capacity int
 	retain   int64
@@ -82,7 +84,7 @@ func (m *refRing) persist(t *testing.T, kv KV) {
 			m.open = nil
 		}
 		m.open = append(m.open, m.live[start-lo:]...)
-		m.openBytes = mustMarshal(t, m.open)
+		m.openBytes = mustChunk(t, m.open)
 		kv.Put(m.openKey, m.openBytes)
 	}
 	m.persistLo, m.persistHi = lo, m.seq
@@ -94,11 +96,12 @@ func (m *refRing) resetPersistence() {
 	m.openKey, m.openStart, m.open, m.openBytes = "", 0, nil, nil
 }
 
-func mustMarshal(t *testing.T, evs []Event) []byte {
+func mustChunk(t *testing.T, evs []Event) []byte {
 	t.Helper()
-	b, err := json.Marshal(evs)
-	if err != nil {
-		t.Fatal(err)
+	b := chunkOf(&eventEncoder{}, evs)
+	back, err := decodeChunk(b, nil)
+	if err != nil || !reflect.DeepEqual(back, evs) {
+		t.Fatalf("model chunk decodes to %v, %v; want %v", back, err, evs)
 	}
 	return b
 }
@@ -115,7 +118,7 @@ func randomEvent(rng *rand.Rand) Event {
 		e.Attrs = attrsOf(map[string]int64{"seq": rng.Int63n(100), "window": rng.Int63n(10)})
 	}
 	if e.Kind == KindFrameState {
-		e.State = &FrameState{Config: "full", Env: "nominal", Apps: map[spec.AppID]AppSnap{"a": {}}}
+		e.State = &FrameState{Config: "full", Env: "nominal", Apps: map[spec.AppID]AppSnap{"a": {Status: trace.StatusNormal}}}
 	}
 	return e
 }
@@ -246,7 +249,7 @@ func compareKV(t *testing.T, got, want memKV) {
 	}
 	for k, v := range want {
 		if !bytes.Equal(got[k], v) {
-			t.Fatalf("chunk %s diverges:\n ring  %s\n model %s", k, got[k], v)
+			t.Fatalf("chunk %s diverges:\n ring  %x\n model %x", k, got[k], v)
 		}
 	}
 }

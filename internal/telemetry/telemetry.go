@@ -16,12 +16,10 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -188,11 +186,10 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	// Sorted name lists, cached between snapshots: the metric name set is
-	// static once a system has warmed up, while Snapshot runs on every
-	// metrics-persist cadence and at campaign collection. Nil = rebuild.
+	// static once a system has warmed up, while Snapshot runs at campaign
+	// collection and on every publish of the live telemetry plane. Nil =
+	// rebuild.
 	counterNames, gaugeNames, histNames []string
-	// encBuf is the reused Persist encoding buffer.
-	encBuf []byte
 }
 
 // NewRegistry returns an empty registry.
@@ -279,122 +276,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = r.hists[name].Snapshot()
 	}
 	return s
-}
-
-// metricsKey is the stable-storage key the registry snapshot persists under.
-// The "telemetry/" prefix keeps it outside the kernel-only "scram/"
-// namespace the statusdiscipline analyzer guards.
-const metricsKey = "telemetry/metrics"
-
-// Persist stages the registry snapshot into kv; it becomes durable at the
-// owning processor's next frame-boundary commit. The snapshot is encoded by
-// hand into a reused buffer — byte-identical to json.Marshal of Snapshot,
-// which TestRegistryPersistMatchesStdlib pins — because Persist runs on the
-// metrics cadence of the frame loop and the reflection walk over three maps
-// of metrics allocated kilobytes per call.
-func (r *Registry) Persist(kv KV) error {
-	if r.counterNames == nil {
-		r.counterNames = det.SortedKeys(r.counters)
-	}
-	if r.gaugeNames == nil {
-		r.gaugeNames = det.SortedKeys(r.gauges)
-	}
-	if r.histNames == nil {
-		r.histNames = det.SortedKeys(r.hists)
-	}
-	buf := append(r.encBuf[:0], '{')
-	if len(r.counterNames) > 0 {
-		buf = append(buf, `"counters":{`...)
-		for i, name := range r.counterNames {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = appendJSONString(buf, name)
-			buf = append(buf, ':')
-			buf = strconv.AppendInt(buf, r.counters[name].Value(), 10)
-		}
-		buf = append(buf, '}')
-	}
-	if len(r.gaugeNames) > 0 {
-		if len(buf) > 1 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, `"gauges":{`...)
-		for i, name := range r.gaugeNames {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = appendJSONString(buf, name)
-			buf = append(buf, ':')
-			buf = strconv.AppendInt(buf, r.gauges[name].Value(), 10)
-		}
-		buf = append(buf, '}')
-	}
-	if len(r.histNames) > 0 {
-		if len(buf) > 1 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, `"histograms":{`...)
-		for i, name := range r.histNames {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = appendJSONString(buf, name)
-			buf = append(buf, ':')
-			buf = appendHistogram(buf, r.hists[name])
-		}
-		buf = append(buf, '}')
-	}
-	buf = append(buf, '}')
-	r.encBuf = buf
-	kv.Put(metricsKey, buf)
-	return nil
-}
-
-// appendHistogram appends h's state as the JSON encoding/json produces for
-// HistogramSnapshot.
-func appendHistogram(buf []byte, h *Histogram) []byte {
-	buf = append(buf, `{"bounds":`...)
-	buf = appendInt64s(buf, h.bounds)
-	buf = append(buf, `,"counts":`...)
-	buf = appendInt64s(buf, h.counts)
-	buf = append(buf, `,"count":`...)
-	buf = strconv.AppendInt(buf, h.count, 10)
-	buf = append(buf, `,"sum":`...)
-	buf = strconv.AppendInt(buf, h.sum, 10)
-	buf = append(buf, `,"max":`...)
-	buf = strconv.AppendInt(buf, h.max, 10)
-	return append(buf, '}')
-}
-
-// appendInt64s appends vs as a JSON array (null when nil, matching
-// encoding/json's treatment of nil slices).
-func appendInt64s(buf []byte, vs []int64) []byte {
-	if vs == nil {
-		return append(buf, "null"...)
-	}
-	buf = append(buf, '[')
-	for i, v := range vs {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendInt(buf, v, 10)
-	}
-	return append(buf, ']')
-}
-
-// RecoverSnapshot reads the registry snapshot persisted by Persist back out
-// of a stable-storage snapshot. ok is false when none was persisted.
-func RecoverSnapshot(snap map[string][]byte) (Snapshot, bool, error) {
-	raw, ok := snap[metricsKey]
-	if !ok {
-		return Snapshot{}, false, nil
-	}
-	var s Snapshot
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return Snapshot{}, true, fmt.Errorf("telemetry: decoding metrics snapshot: %w", err)
-	}
-	return s, true, nil
 }
 
 // promName maps a slash-separated metric name onto the Prometheus exposition

@@ -2,10 +2,12 @@ package telemetry
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
@@ -52,35 +54,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if s.Count != 6 || s.Sum != 111 || s.Max != 100 {
 		t.Errorf("Count/Sum/Max = %d/%d/%d, want 6/111/100", s.Count, s.Sum, s.Max)
-	}
-}
-
-func TestMetricsPersistRecover(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("scram/signals").Add(5)
-	reg.Gauge("frame/tasks").Set(4)
-	reg.Histogram("w", 2, 4).Observe(3)
-
-	kv := memKV{}
-	if err := reg.Persist(kv); err != nil {
-		t.Fatal(err)
-	}
-	snap, ok, err := RecoverSnapshot(map[string][]byte(kv))
-	if err != nil || !ok {
-		t.Fatalf("RecoverSnapshot: ok=%v err=%v", ok, err)
-	}
-	if snap.Counters["scram/signals"] != 5 {
-		t.Errorf("recovered counter = %d, want 5", snap.Counters["scram/signals"])
-	}
-	if snap.Gauges["frame/tasks"] != 4 {
-		t.Errorf("recovered gauge = %d, want 4", snap.Gauges["frame/tasks"])
-	}
-	if h := snap.Histograms["w"]; h.Count != 1 || h.Counts[1] != 1 {
-		t.Errorf("recovered histogram = %+v", h)
-	}
-
-	if _, ok, _ := RecoverSnapshot(map[string][]byte{}); ok {
-		t.Error("RecoverSnapshot on empty storage reported ok")
 	}
 }
 
@@ -198,11 +171,11 @@ func TestRingPersistRecoverIncremental(t *testing.T) {
 		t.Errorf("recovered kinds = %v...%v", evs[0].Kind, evs[5].Kind)
 	}
 
-	// Persist writes only chunk records: a lone event object under the
-	// event prefix is not a format recovery reads, so it fails to decode.
+	// Persist writes only chunk records: anything else under the event
+	// prefix — here a JSON event object — fails to decode as corrupt.
 	kv[eventKeyPrefix+"0000000000000009"] = []byte(`{"seq":9,"frame":9,"kind":"trigger"}`)
-	if _, err := RecoverRing(map[string][]byte(kv)); err == nil {
-		t.Fatal("non-array event record recovered without error")
+	if _, err := RecoverRing(map[string][]byte(kv)); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("non-chunk event record: err = %v, want ErrCorrupt", err)
 	}
 }
 
